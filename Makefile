@@ -3,7 +3,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: verify test lint bench bench-wire bench-audit bench-federation \
 	bench-workers bench-query bench-transport bench-verify \
-	bench-analysis bench-all test-concurrency
+	bench-analysis bench-all test-concurrency perfbench
 
 # Tier-1 verification: the whole suite, fail-fast.  The bench smoke
 # list (decision-plane + wire-plane scale benches, with their ratio
@@ -84,6 +84,14 @@ bench-verify:
 # smoke run (the functional gates hold at every scale).
 bench-analysis:
 	$(PYTHON) -m pytest benchmarks/test_scale_analysis.py -q -s -p no:randomly
+
+# The end-to-end benchmark (perfbench/, declared in BENCHMARK.json):
+# every workload at seed 1, tracing off.  Each run prints its report;
+# its last line is the {correct, attempted, failed, metrics} JSON.
+perfbench:
+	for workload in ward_stream clinic_bus vitals_history; do \
+		$(PYTHON) perfbench/run.py --workload $$workload --seed 1 || exit 1; \
+	done
 
 # The real-thread stress tests of the contention-proofed planes
 # (decision cache snapshot/epoch protocol, audit-spine ring drains).

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.audit.distributed import CheckpointClaim, FederationPinboard
 from repro.audit.records import RecordKind
@@ -329,14 +329,19 @@ class MeshNode:
         self.stats.tags_learned += len(new)
 
     def _blocks_for(
-        self, their_row: Mapping[str, int], optimistic_for: Optional[str]
+        self,
+        their_row: Mapping[str, int],
+        origins: Iterable[str],
+        optimistic_for: Optional[str],
     ) -> Dict[str, TagBlock]:
-        """Compressed deltas for every origin we are ahead of ``their_row``
-        on.  ``optimistic_for`` marks the receiving node as holding what
-        we push (exact on lossless transport; self-healing otherwise —
-        see module docstring)."""
+        """Compressed deltas for each of ``origins`` we are ahead of
+        ``their_row`` on, each starting at the version the row says they
+        hold (0 when it is silent).  An origin outside ``origins`` costs
+        nothing: no slice, no compression.  ``optimistic_for`` marks the
+        receiving node as holding what we push (exact on lossless
+        transport; self-healing otherwise — see module docstring)."""
         blocks: Dict[str, TagBlock] = {}
-        for origin in self.origins():
+        for origin in origins:
             mine = self.version_of(origin)
             theirs = their_row.get(origin, 0)
             if mine > theirs:
@@ -364,7 +369,9 @@ class MeshNode:
         and pulls (``wants`` where ours is behind theirs)."""
         self._absorb_claims(digest.claims)
         sender_row = digest.holdings.get(digest.sender, {})
-        blocks = self._blocks_for(sender_row, optimistic_for=digest.sender)
+        blocks = self._blocks_for(
+            sender_row, self.origins(), optimistic_for=digest.sender
+        )
         self._absorb_holdings(digest.holdings)
         wants = {
             origin: self.version_of(origin)
@@ -380,15 +387,23 @@ class MeshNode:
             claims=self._claims_out(),
         )
 
-    def handle_reply(self, reply: GossipReply) -> Optional[GossipDelta]:
-        """Apply the reply's pushes, then serve its pulls."""
+    def handle_reply(self, reply: GossipReply) -> GossipDelta:
+        """Apply the reply's pushes, then serve its pulls.
+
+        The delta carries a block only for an origin in ``reply.wants``,
+        starting at the version the peer said it holds; every other
+        origin is left alone, so an exchange between converged nodes
+        compresses nothing.  The delta is sent even without blocks: its
+        holdings matrix is how the peer learns what we absorbed from
+        the reply, and skipping it slows convergence.
+        """
         self._absorb_claims(reply.claims)
         for origin, block in reply.blocks.items():
             self._apply_block(origin, block)
-        blocks = self._blocks_for(reply.wants, optimistic_for=reply.sender)
+        blocks = self._blocks_for(
+            reply.wants, reply.wants, optimistic_for=reply.sender
+        )
         self._absorb_holdings(reply.holdings)
-        if not blocks:
-            return None
         self.stats.deltas_sent += 1
         return GossipDelta(
             sender=self.host, holdings=self._matrix(), blocks=blocks

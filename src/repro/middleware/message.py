@@ -68,6 +68,9 @@ class MessageType:
                     f"duplicate attribute {spec.name!r} in type {name!r}"
                 )
             self.attributes[spec.name] = spec
+        #: name → extra secrecy label, filled on first use so tags are
+        #: interned (and given process-local bits) in first-use order.
+        self._secrecy: Dict[str, Label] = {}
 
     @classmethod
     def simple(cls, name: str, **attr_types: Type) -> "MessageType":
@@ -99,11 +102,14 @@ class MessageType:
                 )
 
     def attribute_secrecy(self, name: str) -> Label:
-        """The extra secrecy label of one attribute."""
-        spec = self.attributes.get(name)
-        if spec is None:
-            raise SchemaError(f"{self.name}: unknown attribute {name!r}")
-        return Label(spec.extra_secrecy)
+        """The extra secrecy label of one attribute (built once)."""
+        label = self._secrecy.get(name)
+        if label is None:
+            spec = self.attributes.get(name)
+            if spec is None:
+                raise SchemaError(f"{self.name}: unknown attribute {name!r}")
+            label = self._secrecy[name] = Label(spec.extra_secrecy)
+        return label
 
     def __repr__(self) -> str:
         return f"MessageType({self.name!r}, {sorted(self.attributes)})"

@@ -95,6 +95,95 @@ class TestConvergence:
         assert late.version_of("host-00") >= mesh.node("host-00").baseline
 
 
+class TestConvergenceSpeed:
+    """Round counts pinned exactly, so a change that slows convergence
+    (for instance, skipping a DELTA that carries no blocks) fails here
+    instead of passing under the logarithmic bound."""
+
+    # With empty vocabularies there are no tables to pull: only the
+    # DELTA's holdings matrix tells the digest's receiver what the
+    # opener absorbed, and skipping empty DELTAs costs 3/5/7 rounds.
+    @pytest.mark.parametrize("tags_per_node", [6, 0])
+    @pytest.mark.parametrize("n, expected", [(4, 2), (8, 4), (16, 5)])
+    def test_run_until_converged_rounds(self, n, expected, tags_per_node):
+        mesh, sim, net = build_mesh(n, tags_per_node=tags_per_node)
+        assert mesh.run_until_converged() == expected
+
+    @pytest.mark.parametrize("n, expected", [(4, 2), (8, 4), (16, 5)])
+    def test_deploy_converge_rounds(self, n, expected):
+        from repro.deploy import Deployment
+
+        SecurityContext.of(["pin:a", "pin:b"], [])  # a non-empty vocabulary
+        deploy = Deployment(seed=7, name="pin", mesh_interval=0.5)
+        for i in range(n):
+            deploy.node(f"pin-{n}-{i:02d}").with_mesh()
+        assert deploy.converge() == expected
+
+
+class TestSteadyState:
+    @staticmethod
+    def _exchange_after_convergence(mesh, sim, extra_rounds=0):
+        mesh.run_until_converged()
+        for __ in range(extra_rounds):
+            mesh._round()
+            sim.run_for(mesh.interval)
+        a, b = mesh.nodes()[:2]
+        reply = b.handle_digest(a.make_digest())
+        return mesh, a, reply, a.handle_reply(reply)
+
+    @staticmethod
+    def _assert_holdings_only(mesh, a, reply, delta):
+        assert reply.wants == {}
+        assert reply.blocks == {}
+        assert delta.blocks == {}
+        # The DELTA still goes out: it carries the opener's holdings.
+        assert delta.holdings[a.host] == a._own_row()
+        assert set(delta.holdings) == {node.host for node in mesh.nodes()}
+
+    def test_converged_exchange_ships_no_blocks(self):
+        # Every member brings the same vocabulary, so learning a peer's
+        # table never grows an interner: convergence is steady state.
+        sim = Simulator(seed=1)
+        mesh = GossipMesh(Network(sim, default_latency=0.001), sim, interval=0.5)
+        for i in range(4):
+            interner = TagInterner()
+            for t in range(6):
+                interner.intern(f"shared:tag{t}")
+            mesh.join(f"host-{i:02d}", WireCodec(interner))
+        self._assert_holdings_only(*self._exchange_after_convergence(mesh, sim))
+
+    def test_settled_disjoint_vocabularies_ship_no_blocks(self):
+        # Learning peers' tags grows each interner, so every origin's
+        # table grows once more after convergence; one round settles it.
+        mesh, sim, net = build_mesh(4)
+        self._assert_holdings_only(
+            *self._exchange_after_convergence(mesh, sim, extra_rounds=1)
+        )
+
+    def test_delta_serves_only_pulled_origins_from_wanted_version(self):
+        mesh, sim, net = build_mesh(3)
+        a, b, c = mesh.nodes()
+        from repro.federation import GossipDelta
+        from repro.ifc.wire import TagBlock
+
+        # b holds the first half of a's table and nothing of c's; a
+        # holds c's table, so b pulls a's tail and c's whole table.
+        half = a.tags_known(a.host)[:3]
+        b.handle_delta(GossipDelta(a.host, {}, {a.host: TagBlock.compress(half)}))
+        c_table = c.tags_known(c.host)
+        a.handle_delta(GossipDelta(c.host, {}, {c.host: TagBlock.compress(c_table)}))
+        reply = b.handle_digest(a.make_digest())
+        assert reply.wants == {a.host: 3, c.host: 0}
+        delta = a.handle_reply(reply)
+        assert sorted(delta.blocks) == [a.host, c.host]
+        assert delta.blocks[a.host].base == 3
+        assert delta.blocks[a.host].tags() == a.tags_known(a.host)[3:]
+        assert delta.blocks[c.host].base == 0
+        b.handle_delta(delta)
+        assert b.tags_known(a.host) == a.tags_known(a.host)
+        assert b.tags_known(c.host) == c_table
+
+
 class TestDeltaRobustness:
     def test_gapped_delta_is_dropped_not_guessed(self):
         mesh, sim, net = build_mesh(2)

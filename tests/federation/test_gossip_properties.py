@@ -77,8 +77,11 @@ def test_convergence_despite_drops_duplicates_and_orderings(tag_lists, chaos):
             if lossy and chaos.draw(st.booleans(), label="drop_reply"):
                 continue
             delta = node.handle_reply(reply)
-            if delta is None:
-                continue
+            # The DELTA serves the reply's pulls and nothing else, each
+            # from the version the puller said it holds.
+            assert set(delta.blocks) <= set(reply.wants)
+            for origin, block in delta.blocks.items():
+                assert block.base == reply.wants[origin]
             if lossy and chaos.draw(st.booleans(), label="drop_delta"):
                 continue
             partner.handle_delta(delta)

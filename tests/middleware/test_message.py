@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SchemaError
-from repro.ifc import Label, SecurityContext, as_tags
+from repro.ifc import Label, SecurityContext, as_tags, global_interner
 from repro.middleware import AttributeSpec, Message, MessageType
 
 
@@ -94,3 +94,23 @@ class TestMessageLevelTags:
     def test_attribute_secrecy_lookup_errors(self, person_type):
         with pytest.raises(SchemaError):
             person_type.attribute_secrecy("ghost")
+        # A miss is never memoised: the next lookup raises again.
+        with pytest.raises(SchemaError):
+            person_type.attribute_secrecy("ghost")
+
+    def test_attribute_secrecy_is_built_once(self, person_type):
+        first = person_type.attribute_secrecy("name")
+        assert person_type.attribute_secrecy("name") is first
+        assert first == Label(as_tags(["pii"]))
+        assert person_type.attribute_secrecy("country") == Label.empty()
+
+    def test_attribute_secrecy_interns_on_first_use(self):
+        # Bit positions are process-local and follow interning order, so
+        # declaring a schema must not intern its tags ahead of use.
+        tag = "schema-memo:lazy"
+        mtype = MessageType(
+            "lazy", [AttributeSpec("x", int, extra_secrecy=as_tags([tag]))]
+        )
+        assert tag not in global_interner()
+        assert tag in mtype.attribute_secrecy("x")
+        assert tag in global_interner()
