@@ -44,6 +44,11 @@ EMERGENCY_THRESHOLD = 140.0
 NORMAL_INTERVAL = 300.0
 EMERGENCY_INTERVAL = 30.0
 
+#: The emergency-services alert text; :meth:`HomeMonitoringSystem.handle_alerts`
+#: reads the patient name back out of it.
+ALERT_PREFIX = "Emergency for "
+ALERT_TEMPLATE = ALERT_PREFIX + "{patient}: heart rate {heart_rate}"
+
 
 def patient_context(name: str, standard_device: bool) -> SecurityContext:
     """The security context of a patient's home sensors (Fig. 4)."""
@@ -227,6 +232,8 @@ class HomeMonitoringSystem:
         self.hospital = self.deploy.domain("hospital")
         self.patients: Dict[str, PatientDeployment] = {}
         self.alerts: List[tuple] = []
+        # Alerts before this index have been actuated.
+        self._alerts_handled = 0
         self.emergencies_detected: List[str] = []
 
         domain = self.hospital
@@ -370,7 +377,7 @@ class HomeMonitoringSystem:
                 actions=[
                     NotifyAction(
                         "emergency-services",
-                        "Emergency for {patient}: heart rate {heart_rate}",
+                        ALERT_TEMPLATE,
                     ),
                     ContextAction("emergency.active", True),
                     CommandAction(builder=map_alert_to_doctor),
@@ -389,13 +396,18 @@ class HomeMonitoringSystem:
         deployment.sensor.set_interval(EMERGENCY_INTERVAL)
 
     def handle_alerts(self) -> None:
-        """Apply actuations for every emergency alert raised so far."""
-        for channel, text in self.alerts:
-            if channel != "emergency-services":
+        """Actuate each emergency alert raised since the last call, once.
+
+        The patient is the exact name the alert was rendered with, so an
+        alert for ``joanna`` never actuates ``ann``.
+        """
+        for channel, text in self.alerts[self._alerts_handled:]:
+            if channel != "emergency-services" or not text.startswith(ALERT_PREFIX):
                 continue
-            for name in self.patients:
-                if name in text:
-                    self.actuate_emergency_sampling(name)
+            name = text[len(ALERT_PREFIX):].rpartition(": heart rate ")[0]
+            if name in self.patients:
+                self.actuate_emergency_sampling(name)
+        self._alerts_handled = len(self.alerts)
 
     # -- reporting -----------------------------------------------------------------
 

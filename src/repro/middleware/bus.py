@@ -11,7 +11,7 @@ AC-only baseline used throughout EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.accesscontrol.pep import EnforcementMode
 from repro.audit.log import AuditLog
@@ -110,6 +110,14 @@ class MessageBus:
     :class:`repro.middleware.substrate.MessagingSubstrate`; the bus alone
     models one administrative domain's middleware instance.
 
+    ``channels`` lists every live channel in connect order.  Delivery
+    reads a route index instead: each source endpoint's live channels,
+    keyed by the identity of the (component, endpoint) pair and kept in
+    connect order, so a publish costs its own fan-out rather than the
+    bus's channel count.  Both change only in :meth:`connect`, the
+    teardown hook and the compaction that ends the outermost route
+    (see ``docs/bus_plane.md``).
+
     Example::
 
         bus = MessageBus(audit=log)
@@ -140,12 +148,18 @@ class MessageBus:
         self._clock = clock or (lambda: 0.0)
         self.components: Dict[str, Component] = {}
         self.channels: List[Channel] = []
+        # (id(source), id(source endpoint)) -> that endpoint's live
+        # channels in connect order.  Ids are safe keys: the channels in
+        # a list hold both objects, and an entry goes with its last
+        # channel.
+        self._routes: Dict[Tuple[int, int], List[Channel]] = {}
         self.stats = DeliveryReport()
-        # Torn-down channels are compacted out of `channels` so route()
-        # never scans dead entries; removal is deferred while route() is
-        # iterating (handlers may tear down channels mid-delivery).
+        # Torn-down channels are compacted out of `channels` and the
+        # route index so route() never walks dead entries; removal is
+        # deferred while a route is iterating (handlers may tear down
+        # channels mid-delivery) and the keys to compact collect here.
         self._route_depth = 0
-        self._compact_pending = False
+        self._compact_pending: Set[Tuple[int, int]] = set()
         # Bumped whenever the channel list changes membership; batch
         # fan-out plans pin the version they were built against and
         # rebuild when it moves (a handler connecting mid-batch must see
@@ -249,6 +263,9 @@ class MessageBus:
         )
         channel.on_teardown.append(self._channel_torn_down)
         self.channels.append(channel)
+        # Appended in place: a route iterating this list (a handler
+        # connecting mid-delivery) serves the new channel too.
+        self._routes.setdefault((id(source), id(src_ep)), []).append(channel)
         self._channels_version += 1
         if self.audit is not None:
             self.audit.append(
@@ -269,21 +286,50 @@ class MessageBus:
         channel.teardown(reason)
 
     def _channel_torn_down(self, channel: Channel, reason: str) -> None:
-        """Teardown hook: drop the channel from the scan list.
+        """Teardown hook: drop the channel from ``channels`` and its
+        endpoint's route list, and the list itself once it is empty.
 
         Mid-route teardowns (a handler disconnecting, a context change
-        collapsing a channel) must not mutate the list being iterated —
-        those compact once the outermost route() finishes instead, so a
+        collapsing a channel) must not mutate a list being iterated —
+        those compact once the outermost route finishes instead, so a
         long-running bus never accumulates dead channels either way.
         """
         self._channels_version += 1
+        key = (id(channel.source), id(channel.source_endpoint))
         if self._route_depth:
-            self._compact_pending = True
+            self._compact_pending.add(key)
             return
         try:
             self.channels.remove(channel)
         except ValueError:
             pass
+        routes = self._routes[key]
+        routes.remove(channel)
+        if not routes:
+            del self._routes[key]
+
+    def _channels_from(self, source: Component, src_ep: Endpoint) -> Sequence[Channel]:
+        """``src_ep``'s route list: its live channels in connect order.
+
+        The list itself, not a copy — a connect from this endpoint
+        during a route appends to what the route is walking.
+        """
+        return self._routes.get((id(source), id(src_ep)), ())
+
+    def _end_route(self) -> None:
+        """Leave one route level; the outermost compacts deferred
+        teardowns out of ``channels`` and the touched route lists."""
+        self._route_depth -= 1
+        if self._route_depth or not self._compact_pending:
+            return
+        self.channels = [c for c in self.channels if c.alive]
+        for key in self._compact_pending:
+            live = [c for c in self._routes[key] if c.alive]
+            if live:
+                self._routes[key] = live
+            else:
+                del self._routes[key]
+        self._compact_pending.clear()
 
     # -- delivery ---------------------------------------------------------------------
 
@@ -361,19 +407,18 @@ class MessageBus:
                 report.denied += sub.denied
                 report.quenched_attributes += sub.quenched_attributes
         finally:
-            self._route_depth -= 1
-            if not self._route_depth and self._compact_pending:
-                self._compact_pending = False
-                self.channels = [c for c in self.channels if c.alive]
+            self._end_route()
         self.plane.flush()
         return report
 
     def _batch_plan(self, source: Component, src_ep: Endpoint) -> _BatchPlan:
         """Build the hoisted fan-out plan for a batch from ``src_ep``.
 
-        Captures the channel-list version and the source context object
-        so the batch loop can detect staleness by identity, never by
-        (costly) label comparison.
+        One entry per live channel in the endpoint's route list, in
+        connect order (suspended ones too: the batch loop skips them
+        while inactive).  Captures the channel-list version and the
+        source context object so the batch loop can detect staleness by
+        identity, never by (costly) label comparison.
         """
         src_ctx = source.context
         msg_ctx = src_ctx.creation_context()
@@ -386,10 +431,8 @@ class MessageBus:
         evaluate = self.plane.evaluate
         ac_only = self.mode == EnforcementMode.AC_ONLY
         entries = []
-        for channel in self.channels:
+        for channel in self._channels_from(source, src_ep):
             if not channel.alive:
-                continue
-            if channel.source is not source or channel.source_endpoint is not src_ep:
                 continue
             sink_ctx = channel.sink.context
             decision = None if ac_only else evaluate(msg_ctx, sink_ctx)
@@ -479,23 +522,24 @@ class MessageBus:
     def route(
         self, source: Component, endpoint_name: str, message: Message
     ) -> DeliveryReport:
-        """Route a pre-built message (used by gateways re-emitting)."""
+        """Route a pre-built message (used by gateways re-emitting).
+
+        Walks only the source endpoint's route list, in connect order,
+        skipping suspended channels and any torn down earlier in this
+        route.  A handler connecting from the same endpoint appends to
+        the list being walked, so its channel serves this message too.
+        """
         report = DeliveryReport()
         src_ep = source.endpoint(endpoint_name)
         self._route_depth += 1
         try:
-            for channel in self.channels:
+            for channel in self._channels_from(source, src_ep):
                 if not channel.active:
-                    continue
-                if channel.source is not source or channel.source_endpoint is not src_ep:
                     continue
                 report.sent += 1
                 self._deliver_on(channel, message, report)
         finally:
-            self._route_depth -= 1
-            if not self._route_depth and self._compact_pending:
-                self._compact_pending = False
-                self.channels = [c for c in self.channels if c.alive]
+            self._end_route()
         self._accumulate(report)
         return report
 

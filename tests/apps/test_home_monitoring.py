@@ -134,6 +134,34 @@ class TestFig7Emergency:
         # the healthy patient's sensor is untouched
         assert system.patients["zeb"].sensor.interval == 300.0
 
+    def test_alert_actuates_only_the_named_patient(self):
+        """An emergency for ``joanna`` must not actuate ``ann``, whose
+        name is a substring of hers."""
+        world = IoTWorld(seed=3)
+        patients = [
+            PatientProfile("ann", device_standard=True),
+            PatientProfile("joanna", device_standard=True,
+                           emergency_at=3600.0, emergency_duration=1800.0),
+        ]
+        system = HomeMonitoringSystem(world, patients, sample_interval=300.0)
+        system.run(hours=2)
+        assert system.emergencies_detected
+        assert set(system.emergencies_detected) == {"joanna"}
+        assert system.patients["joanna"].sensor.interval == EMERGENCY_INTERVAL
+        assert system.patients["ann"].sensor.interval == 300.0
+
+    def test_each_alert_actuates_once(self, system):
+        """Later runs do not replay old alerts: a sensor reset after the
+        emergency stays at the rate it was reset to."""
+        system.run(hours=2)
+        sensor = system.patients["ann"].sensor
+        assert sensor.interval == EMERGENCY_INTERVAL
+        alerts = len(system.alerts)
+        sensor.set_interval(300.0)
+        system.run(hours=2)
+        assert len(system.alerts) == alerts
+        assert sensor.interval == 300.0
+
     def test_no_emergency_without_episode(self):
         world = IoTWorld(seed=3)
         system = HomeMonitoringSystem(

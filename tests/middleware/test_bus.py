@@ -320,6 +320,115 @@ class TestChannelCompaction:
         assert channels[-1] not in bus.channels
         assert len(bus.channels) == 3
 
+    def test_mid_route_connect_from_same_endpoint_serves_current_message(
+        self, bus, reading_type, ann_device
+    ):
+        """A handler connecting from the publishing endpoint appends to
+        the route list being walked, so the new channel gets this
+        message too (after the channels connected before it)."""
+        a = bus.register(make_component("a", ann_device, reading_type, owner="op"))
+        received = []
+        late = Component("late", ann_device, owner="op")
+        late.add_endpoint("in", EndpointKind.SINK, reading_type,
+                          handler=lambda c, e, m: received.append(("late", m.msg_id)))
+        bus.register(late)
+
+        def first_handler(c, e, m):
+            received.append(("first", m.msg_id))
+            if len(received) == 1:
+                bus.connect("op", a, "out", late, "in")
+
+        first = Component("first", ann_device, owner="op")
+        first.add_endpoint("in", EndpointKind.SINK, reading_type, handler=first_handler)
+        bus.register(first)
+        bus.connect("op", a, "out", first, "in")
+
+        report = bus.publish(a, "out", value=1.0)
+        msg_id = received[0][1]
+        assert received == [("first", msg_id), ("late", msg_id)]
+        assert (report.sent, report.delivered) == (2, 2)
+
+    def test_resumed_channel_keeps_its_place_in_delivery_order(
+        self, bus, reading_type, ann_device
+    ):
+        """Suspended channels stay indexed: on resume they deliver in
+        connect order again, for publish and publish_batch alike, and
+        one resumed mid-batch carries the rest of the batch."""
+        from repro.ifc import PrivilegeSet
+
+        both = PrivilegeSet.of(add_secrecy=["extra"], remove_secrecy=["extra"])
+        a = Component("a", ann_device, both, owner="op")
+        a.add_endpoint("out", EndpointKind.SOURCE, reading_type)
+        bus.register(a)
+        order = []
+
+        def make_sink(name, context):
+            sink = Component(name, context, both, owner="op")
+            sink.add_endpoint("in", EndpointKind.SINK, reading_type,
+                              handler=lambda c, e, m: order.append(name))
+            bus.register(sink)
+            return sink, bus.connect("op", a, "out", sink, "in")
+
+        cleared = ann_device.add_secrecy("extra")
+        s0, __ = make_sink("s0", cleared)
+        s1, middle = make_sink("s1", ann_device)
+        make_sink("s2", cleared)
+
+        a.add_secrecy("extra")  # s1 cannot read "extra": suspended
+        assert middle.alive and not middle.active
+        bus.publish(a, "out", value=1.0)
+        assert order == ["s0", "s2"]
+
+        a.remove_secrecy("extra")  # resumes in its old place
+        order.clear()
+        bus.publish(a, "out", value=1.0)
+        bus.publish_batch(a, "out", [{"value": 2.0}])
+        assert order == ["s0", "s1", "s2"] * 2
+
+        # Suspend again, then let s0's handler clear s1 mid-batch.
+        a.add_secrecy("extra")
+        order.clear()
+
+        def clear_s1(c, e, m):
+            order.append("s0")
+            if "extra" not in s1.context.secrecy:
+                s1.add_secrecy("extra")
+
+        s0.endpoints["in"].handler = clear_s1
+        bus.publish_batch(a, "out", [{"value": 3.0}] * 2)
+        assert order == ["s0", "s1", "s2"] * 2
+
+    def test_connect_teardown_churn_leaves_route_index_empty(
+        self, reading_type, ann_device
+    ):
+        """Memory guard: 10,000 connect/teardown cycles over several
+        endpoints, half torn down from inside a delivery, leave no
+        channel, route list or pending compaction behind."""
+        bus = MessageBus()
+        sources = [
+            bus.register(make_component(f"a{i}", ann_device, reading_type, owner="op"))
+            for i in range(4)
+        ]
+        current = []
+
+        def drop_mid_route(c, e, m):
+            current.pop().teardown("mid-route")
+
+        sink = Component("sink", ann_device, owner="op")
+        sink.add_endpoint("in", EndpointKind.SINK, reading_type, handler=drop_mid_route)
+        bus.register(sink)
+        for cycle in range(10_000):
+            source = sources[cycle % len(sources)]
+            channel = bus.connect("op", source, "out", sink, "in")
+            if cycle % 2:
+                channel.teardown("churn")
+            else:
+                current.append(channel)
+                assert bus.publish(source, "out", value=1.0).delivered == 1
+        assert bus.channels == []
+        assert bus._routes == {}
+        assert not bus._compact_pending
+
     def test_mid_batch_teardown_keeps_later_messages_flowing(
         self, bus, reading_type, ann_device
     ):
