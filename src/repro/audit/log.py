@@ -14,21 +14,48 @@ digest so the remaining suffix still authenticates.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.audit.records import AuditRecord, RecordKind, record_matches
 from repro.errors import IntegrityViolation
 from repro.ifc.labels import SecurityContext
 
 GENESIS_DIGEST = hashlib.sha256(b"repro-audit-genesis").hexdigest()
+_DIGEST_BYTES = 64  # sha256 hex
 
 
 def chain_digest(previous: str, canonical: str) -> str:
     """Extend a hash chain by one record's canonical serialisation."""
-    h = hashlib.sha256()
-    h.update(previous.encode())
-    h.update(canonical.encode())
-    return h.hexdigest()
+    return hashlib.sha256((previous + canonical).encode()).hexdigest()
+
+
+def replay_chain(
+    base: str, canonicals: Iterable[str], stored: Iterable[str]
+) -> Tuple[int, Optional[int]]:
+    """The one verify loop: re-hash from ``base``, compare with ``stored``.
+
+    Returns ``(bytes hashed, first mismatching position or None)``,
+    counting each record's canonical plus its stored digest.
+    """
+    digest = base
+    hashed = 0
+    for position, (canonical, expected) in enumerate(zip(canonicals, stored)):
+        digest = chain_digest(digest, canonical)
+        hashed += len(canonical) + _DIGEST_BYTES
+        if digest != expected:
+            return hashed, position
+    return hashed, None
+
+
+def _deep_of(mode: str) -> bool:
+    """Map the consumer-facing ``mode`` string to ``deep``."""
+    if mode == "deep":
+        return True
+    if mode == "incremental":
+        return False
+    raise ValueError(
+        f"verification mode must be 'incremental' or 'deep', got {mode!r}"
+    )
 
 
 class RecorderMixin:
@@ -176,14 +203,8 @@ class AuditLog(RecorderMixin):
         :meth:`flush`.
         """
         record = AuditRecord(
-            seq=self._base_seq + len(self._records),
-            timestamp=self._clock(),
-            kind=kind,
-            actor=actor,
-            subject=subject,
-            detail=dict(detail or {}),
-            source_context=source_context,
-            target_context=target_context,
+            self._base_seq + len(self._records), self._clock(), kind, actor,
+            subject, dict(detail or {}), source_context, target_context,
         )
         self._records.append(record)
         self._pending_canonicals.append(record.canonical())
@@ -227,11 +248,7 @@ class AuditLog(RecorderMixin):
         recompute regardless (there are no immutable cold segments to
         watermark or fan out).
         """
-        if mode not in ("incremental", "deep"):
-            raise ValueError(
-                f"verification mode must be 'incremental' or 'deep', "
-                f"got {mode!r}"
-            )
+        _deep_of(mode)  # validates the mode; a flat log always re-hashes
         try:
             self.verify_strict()
             return True
@@ -250,13 +267,15 @@ class AuditLog(RecorderMixin):
         a flat log always recomputes everything.
         """
         self.flush()
-        digest = self._base_digest
-        for i, record in enumerate(self._records):
-            digest = chain_digest(digest, record.canonical())
-            if digest != self._digests[i]:
-                raise IntegrityViolation(
-                    f"audit chain broken at seq {record.seq}"
-                )
+        __, bad = replay_chain(
+            self._base_digest,
+            map(AuditRecord.canonical, self._records),
+            self._digests,
+        )
+        if bad is not None:
+            raise IntegrityViolation(
+                f"audit chain broken at seq {self._records[bad].seq}"
+            )
 
     # -- query & maintenance -------------------------------------------------
 
@@ -269,20 +288,7 @@ class AuditLog(RecorderMixin):
         until: Optional[float] = None,
     ) -> List[AuditRecord]:
         """Filter records by kind / actor / subject / time window."""
-        result = []
-        for r in self._records:
-            if kind is not None and r.kind != kind:
-                continue
-            if actor is not None and r.actor != actor:
-                continue
-            if subject is not None and r.subject != subject:
-                continue
-            if since is not None and r.timestamp < since:
-                continue
-            if until is not None and r.timestamp > until:
-                continue
-            result.append(r)
-        return result
+        return self.query(kind, actor, subject, since=since, until=until)
 
     def denials(self) -> List[AuditRecord]:
         """All denied flows/accesses — the compliance hot list."""

@@ -11,12 +11,13 @@ Records capture flows (allowed *and* denied), context changes
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
+from math import isfinite
 from typing import Any, Dict, FrozenSet, Optional, Set
 
-from repro.ifc.labels import SecurityContext
+from repro.ifc.labels import Label, SecurityContext
 
 
 class RecordKind(str, Enum):
@@ -48,21 +49,9 @@ class RecordKind(str, Enum):
     CUSTOM = "custom"
 
 
-@lru_cache(maxsize=1024)
-def _context_payload(ctx: SecurityContext) -> Dict[str, list]:
-    # Shared across records (contexts are immutable interned values and
-    # canonical() only ever reads it) — one tag walk per distinct
-    # context, not per record.
-    return {
-        "secrecy": sorted(t.qualified for t in ctx.secrecy),
-        "integrity": sorted(t.qualified for t in ctx.integrity),
-    }
-
-
-def _context_dict(ctx: Optional[SecurityContext]) -> Optional[Dict[str, list]]:
-    if ctx is None:
-        return None
-    return _context_payload(ctx)
+#: The one detail/context encoder.  ``json.dumps`` with options builds a
+#: fresh ``JSONEncoder`` per call; this one is built once.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @lru_cache(maxsize=4096)
@@ -73,19 +62,31 @@ def _str_json(text: str) -> str:
 
 
 @lru_cache(maxsize=1024)
-def _context_json(ctx: SecurityContext) -> str:
-    # The serialised form of _context_payload, cached with the same
-    # lifetime: contexts repeat across millions of records and their
-    # tag lists dominate canonical()'s json.dumps time.
-    return json.dumps(
-        _context_payload(ctx), sort_keys=True, separators=(",", ":")
-    )
+def _context_json(secrecy: int, integrity: int) -> str:
+    # Keyed by a context's two interned masks, not by the context: equal
+    # contexts arrive as distinct objects, and two int keys skip the
+    # frozen dataclass's Python __hash__/__eq__.  The interner only
+    # appends, so a mask names one tag set for the life of the process.
+    return _encode({
+        name: sorted(t.qualified for t in Label.from_mask(mask).tags)
+        for name, mask in (("secrecy", secrecy), ("integrity", integrity))
+    })
+
+
+@lru_cache(maxsize=1024)
+def _context_of_tags(secrecy: tuple, integrity: tuple) -> SecurityContext:
+    # Cold records repeat a handful of contexts (a ward's 256-tag stats
+    # context among them): parse and intern each distinct tag list once.
+    # Contexts are immutable, so equal cold records may share one.
+    return SecurityContext.of(secrecy, integrity)
 
 
 def _context_from_dict(body: Optional[Dict]) -> Optional[SecurityContext]:
     if body is None:
         return None
-    return SecurityContext.of(body.get("secrecy", ()), body.get("integrity", ()))
+    return _context_of_tags(
+        tuple(body.get("secrecy", ())), tuple(body.get("integrity", ()))
+    )
 
 
 @lru_cache(maxsize=1024)
@@ -97,15 +98,10 @@ def _context_tags(ctx: SecurityContext) -> FrozenSet[str]:
     walks in :func:`record_tags` (segment-index builds, tag queries)
     collapse to one dict hit.
     """
-    tags = set()
-    for tag in ctx.secrecy:
-        tags.add(tag.qualified)
-    for tag in ctx.integrity:
-        tags.add(tag.qualified)
-    return frozenset(tags)
+    return frozenset(t.qualified for t in ctx.secrecy.tags | ctx.integrity.tags)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AuditRecord:
     """One immutable audit event.
 
@@ -131,32 +127,50 @@ class AuditRecord:
     source_context: Optional[SecurityContext] = None
     target_context: Optional[SecurityContext] = None
 
+    def __init__(self, seq, timestamp, kind, actor, subject="", detail=None,
+                 source_context=None, target_context=None) -> None:
+        # The one constructor every writer uses.  A frozen dataclass's
+        # generated __init__ pays an object.__setattr__ per field; the
+        # slot descriptors' setters cost about half as much on the
+        # emission path, and ordinary assignment still raises.
+        a, b, c, d, e, f, g, h = _SLOT_SETTERS
+        a(self, seq)
+        b(self, timestamp)
+        c(self, kind)
+        d(self, actor)
+        e(self, subject)
+        f(self, {} if detail is None else detail)
+        g(self, source_context)
+        h(self, target_context)
+
     def canonical(self) -> str:
         """Deterministic JSON serialisation used for hash chaining.
 
-        Assembled from per-field dumps with the context fragments
-        memoised (:func:`_context_json`) — byte-identical to
+        Assembled from per-field fragments, contexts memoised by mask
+        (:func:`_context_json`) and a finite float timestamp written by
+        ``float.__repr__`` as ``json`` itself does — byte-identical to
         ``json.dumps(body, sort_keys=True, separators=(",", ":"))``
-        over the same eight keys, which the tier-1 suite pins
-        (``test_canonical_matches_reference_encoding``).
+        over the same eight keys, as ``test_canonical_properties`` pins.
         """
         detail = self.detail
         src = self.source_context
         tgt = self.target_context
+        ts = self.timestamp
         return (
             '{"actor":%s,"detail":%s,"kind":%s,"seq":%d,"source_context":%s,'
             '"subject":%s,"target_context":%s,"timestamp":%s}'
             % (
                 _str_json(self.actor),
-                json.dumps(detail, sort_keys=True, separators=(",", ":"))
-                if detail
-                else "{}",
+                _encode(detail) if detail else "{}",
                 _str_json(self.kind.value),
                 self.seq,
-                "null" if src is None else _context_json(src),
+                "null" if src is None
+                else _context_json(src.secrecy.mask, src.integrity.mask),
                 _str_json(self.subject),
-                "null" if tgt is None else _context_json(tgt),
-                json.dumps(self.timestamp),
+                "null" if tgt is None
+                else _context_json(tgt.secrecy.mask, tgt.integrity.mask),
+                repr(ts) if ts.__class__ is float and isfinite(ts)
+                else json.dumps(ts),
             )
         )
 
@@ -185,6 +199,11 @@ class AuditRecord:
             source_context=_context_from_dict(body.get("source_context")),
             target_context=_context_from_dict(body.get("target_context")),
         )
+
+
+_SLOT_SETTERS = tuple(
+    AuditRecord.__dict__[f.name].__set__ for f in fields(AuditRecord)
+)
 
 
 def record_tags(record: AuditRecord) -> Set[str]:

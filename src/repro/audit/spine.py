@@ -51,7 +51,7 @@ import threading
 import time
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.audit.log import GENESIS_DIGEST, RecorderMixin
+from repro.audit.log import GENESIS_DIGEST, RecorderMixin, _deep_of
 from repro.audit.records import AuditRecord, RecordKind, record_matches
 from repro.audit.storage import (  # noqa: F401  (AuditSegment re-exported)
     AuditSegment,
@@ -176,17 +176,6 @@ class SpineEmitter(RecorderMixin):
 
     def tier_stats(self) -> Dict:
         return self.spine.tier_stats()
-
-
-def _deep_of(mode: str) -> bool:
-    """Map the consumer-facing ``mode`` string to ``deep``."""
-    if mode == "deep":
-        return True
-    if mode == "incremental":
-        return False
-    raise ValueError(
-        f"verification mode must be 'incremental' or 'deep', got {mode!r}"
-    )
 
 
 def bind_source(audit, source: str):
@@ -352,14 +341,8 @@ class AuditSpine(RecorderMixin):
         worker binds its own emitter source, so a ring's append order is
         its emission order."""
         record = AuditRecord(
-            seq=next(self._seq),
-            timestamp=self._clock(),
-            kind=kind,
-            actor=actor,
-            subject=subject,
-            detail=dict(detail or {}),
-            source_context=source_context,
-            target_context=target_context,
+            next(self._seq), self._clock(), kind, actor, subject,
+            dict(detail or {}), source_context, target_context,
         )
         ring = self._staged.get(source)
         if ring is None:

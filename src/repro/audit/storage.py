@@ -59,7 +59,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.audit.log import chain_digest
+from repro.audit.log import _DIGEST_BYTES, chain_digest, replay_chain
 from repro.audit.records import AuditRecord, _context_tags
 from repro.audit.verify import VerifyStats
 from repro.errors import IntegrityViolation
@@ -158,16 +158,16 @@ class AuditSegment:
         Returns the number of digest-material bytes re-hashed (the
         verification plane's accounting currency).
         """
-        digest = self.base_digest
-        hashed = 0
-        for record, stored in zip(self.records, self.digests):
-            canonical = record.canonical()
-            digest = chain_digest(digest, canonical)
-            hashed += len(canonical) + _DIGEST_BYTES
-            if digest != stored:
-                raise IntegrityViolation(
-                    f"segment {self.source!r} chain broken at seq {record.seq}"
-                )
+        hashed, bad = replay_chain(
+            self.base_digest,
+            map(AuditRecord.canonical, self.records),
+            self.digests,
+        )
+        if bad is not None:
+            raise IntegrityViolation(
+                f"segment {self.source!r} chain broken at seq "
+                f"{self.records[bad].seq}"
+            )
         return hashed
 
     def prune_prefix(self, keep_from: int) -> int:
@@ -313,7 +313,6 @@ class SegmentIndex:
 # -- the fixed-stride spill codec -------------------------------------------
 
 _LEN = struct.Struct("<I")
-_DIGEST_BYTES = 64  # sha256 hex
 
 
 def _align16(n: int) -> int:
@@ -405,8 +404,7 @@ def read_spill(path: Path) -> Tuple[Dict, List[Tuple[str, str]]]:
     with open(path, "rb") as fh:
         mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         try:
-            header, entries = _parse_spill(mm, path)
-            return header, entries
+            return _parse_spill(mm, path)
         finally:
             mm.close()
 
@@ -739,17 +737,16 @@ class SealedSegment:
         of digest-material bytes re-hashed.
         """
         if self._records is not None:
-            digest = self.base_digest
-            hashed = 0
-            for record, stored in zip(self._records, self._digests):
-                canonical = record.canonical()
-                digest = chain_digest(digest, canonical)
-                hashed += len(canonical) + _DIGEST_BYTES
-                if digest != stored:
-                    raise IntegrityViolation(
-                        f"sealed segment {self.source!r} chain broken "
-                        f"at seq {record.seq}"
-                    )
+            hashed, bad = replay_chain(
+                self.base_digest,
+                map(AuditRecord.canonical, self._records),
+                self._digests,
+            )
+            if bad is not None:
+                raise IntegrityViolation(
+                    f"sealed segment {self.source!r} chain broken "
+                    f"at seq {self._records[bad].seq}"
+                )
             return hashed
         try:
             raw_header, header, entries = read_spill_full(self.path)
@@ -764,7 +761,6 @@ class SealedSegment:
                 f"not match the digest committed at demote time for "
                 f"segment {self.source!r}"
             )
-        hashed = len(raw_header)
         if (
             header["count"] != self.count
             or header["base_digest"] != self.base_digest
@@ -775,20 +771,19 @@ class SealedSegment:
                 f"spill file {self.path} header does not match the "
                 f"anchors committed for segment {self.source!r}"
             )
-        digest = self.base_digest
-        for i, (canonical, stored) in enumerate(entries):
-            digest = chain_digest(digest, canonical)
-            hashed += len(canonical) + _DIGEST_BYTES
-            if digest != stored:
-                raise IntegrityViolation(
-                    f"cold segment {self.source!r} chain broken at "
-                    f"record {self.base_count + i}"
-                )
-        if digest != self.head:
+        hashed, bad = replay_chain(
+            self.base_digest, (c for c, __ in entries), (d for __, d in entries)
+        )
+        if bad is not None:
+            raise IntegrityViolation(
+                f"cold segment {self.source!r} chain broken at "
+                f"record {self.base_count + bad}"
+            )
+        if (entries[-1][1] if entries else self.base_digest) != self.head:
             raise IntegrityViolation(
                 f"cold segment {self.source!r} head mismatch after replay"
             )
-        return hashed
+        return len(raw_header) + hashed
 
     # -- maintenance -------------------------------------------------------
 
@@ -905,10 +900,6 @@ class SegmentStore:
         for tail in self.tails.values():
             if tail.canonicals is None:
                 tail.canonicals = [r.canonical() for r in tail.records]
-
-    @property
-    def spill_enabled(self) -> bool:
-        return self.spill_dir is not None
 
     # -- structure ---------------------------------------------------------
 

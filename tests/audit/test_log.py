@@ -1,5 +1,7 @@
 """Tamper-evident audit log (§8.3, Challenge 6)."""
 
+import json
+
 import pytest
 
 from repro.audit import AuditLog, RecordKind
@@ -132,27 +134,35 @@ class TestPruneAndExport:
         assert exported[1]["digest"] == audit.head_digest
 
 
+def _context_reference(ctx):
+    if ctx is None:
+        return None
+    return {
+        "secrecy": sorted(t.qualified for t in ctx.secrecy),
+        "integrity": sorted(t.qualified for t in ctx.integrity),
+    }
+
+
+def _reference(record):
+    """The reference encoding: one sorted-keys ``json.dumps`` of the
+    eight-key body, with contexts walked tag by tag."""
+    body = {
+        "seq": record.seq,
+        "timestamp": record.timestamp,
+        "kind": record.kind.value,
+        "actor": record.actor,
+        "subject": record.subject,
+        "detail": record.detail,
+        "source_context": _context_reference(record.source_context),
+        "target_context": _context_reference(record.target_context),
+    }
+    return json.dumps(body, sort_keys=True, separators=(",", ":"))
+
+
 class TestCanonicalEncoding:
     """canonical() assembles from memoised fragments; it must stay
     byte-identical to the reference sorted-keys json.dumps form, since
     chain digests and cold spill files store exactly those bytes."""
-
-    def _reference(self, record):
-        import json
-
-        from repro.audit.records import _context_dict
-
-        body = {
-            "seq": record.seq,
-            "timestamp": record.timestamp,
-            "kind": record.kind.value,
-            "actor": record.actor,
-            "subject": record.subject,
-            "detail": record.detail,
-            "source_context": _context_dict(record.source_context),
-            "target_context": _context_dict(record.target_context),
-        }
-        return json.dumps(body, sort_keys=True, separators=(",", ":"))
 
     def test_canonical_matches_reference_encoding(self, audit):
         ctx = SecurityContext.of(["medical", "home:tv"], ["vendor"])
@@ -166,7 +176,7 @@ class TestCanonicalEncoding:
             ),
         ]
         for record in records:
-            assert record.canonical() == self._reference(record)
+            assert record.canonical() == _reference(record)
 
     def test_canonical_round_trips(self, audit):
         from repro.audit.records import AuditRecord
