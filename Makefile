@@ -7,7 +7,9 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 # Tier-1 verification: the whole suite, fail-fast.  The bench smoke
 # list (decision-plane + wire-plane scale benches, with their ratio
-# asserts) is part of the suite, so verify exercises both.
+# asserts) is part of the suite, so verify exercises both.  The
+# tracked BENCH_*.json summaries are rewritten only when BENCH_WRITE=1,
+# which the bench* targets below set.
 verify:
 	$(PYTHON) -m pytest -x -q
 
@@ -28,36 +30,36 @@ lint:
 # Quick bench: the decision-plane microbenchmarks, with the report rows
 # printed and BENCH_decision_plane.json regenerated.
 bench:
-	$(PYTHON) -m pytest benchmarks/test_scale_decision_cache.py -q -s
+	BENCH_WRITE=1 $(PYTHON) -m pytest benchmarks/test_scale_decision_cache.py -q -s
 
 # Wire-plane bench: mask vs tag-set envelopes on the cross-machine
 # path; regenerates BENCH_wire_masks.json.
 bench-wire:
-	$(PYTHON) -m pytest benchmarks/test_scale_wire.py -q -s
+	BENCH_WRITE=1 $(PYTHON) -m pytest benchmarks/test_scale_wire.py -q -s
 
 # Audit-plane bench: staged spine emission vs synchronous hash-chain
 # appends across 1/4/16 sources; regenerates BENCH_audit_plane.json.
 bench-audit:
-	$(PYTHON) -m pytest benchmarks/test_scale_audit.py -q -s
+	BENCH_WRITE=1 $(PYTHON) -m pytest benchmarks/test_scale_audit.py -q -s
 
 # Federation-plane bench: gossip convergence rounds/bytes vs pairwise
 # handshakes, table compression, post-convergence throughput, and the
 # cross-domain pinboard scenario; regenerates BENCH_federation.json.
 bench-federation:
-	$(PYTHON) -m pytest benchmarks/test_scale_federation.py -q -s
+	BENCH_WRITE=1 $(PYTHON) -m pytest benchmarks/test_scale_federation.py -q -s
 
 # Worker-plane bench: enforcing-publish throughput and decision-cache
 # hit rate at 1/4/16 real worker threads on shared vs. disjoint tag
 # working sets; regenerates BENCH_worker_scaling.json.
 bench-workers:
-	$(PYTHON) -m pytest benchmarks/test_scale_workers.py -q -s
+	BENCH_WRITE=1 $(PYTHON) -m pytest benchmarks/test_scale_workers.py -q -s
 
 # Query-plane bench: tiered (spill) append throughput vs all-in-memory,
 # index-probe selectivity, cold verification and cross-tier identity at
 # 10^6 records; regenerates BENCH_audit_query.json.  Scale down with
 # QUERY_BENCH_RECORDS=20000 for a smoke run.
 bench-query:
-	$(PYTHON) -m pytest benchmarks/test_scale_query.py -q -s -p no:randomly
+	BENCH_WRITE=1 $(PYTHON) -m pytest benchmarks/test_scale_query.py -q -s -p no:randomly
 
 # Transport-plane bench: coalesced vs per-datagram delivery A/B — e2e
 # enforcing ring publish at 2/8/16 machines and mesh convergence under
@@ -65,7 +67,7 @@ bench-query:
 # Scale down with TRANSPORT_BENCH_MSGS / TRANSPORT_BENCH_LOAD and
 # demote the wall-clock gates with TRANSPORT_BENCH_STRICT=0 for smoke.
 bench-transport:
-	$(PYTHON) -m pytest benchmarks/test_scale_transport.py -q -s
+	BENCH_WRITE=1 $(PYTHON) -m pytest benchmarks/test_scale_transport.py -q -s
 
 # Verification-plane bench: parallel deep verify vs serial, and
 # steady-state incremental (watermark-cursor) verify vs full recompute
@@ -74,7 +76,7 @@ bench-transport:
 # VERIFY_BENCH_STRICT=0 for smoke (the parallel gate also self-demotes
 # below 4 CPUs).
 bench-verify:
-	$(PYTHON) -m pytest benchmarks/test_scale_verify.py -q -s -p no:randomly
+	BENCH_WRITE=1 $(PYTHON) -m pytest benchmarks/test_scale_verify.py -q -s -p no:randomly
 
 # Analysis-plane bench: compile a 16-node federation into the flow
 # graph, sweep all-pairs reachability, catch the seeded forbidden
@@ -83,7 +85,7 @@ bench-verify:
 # BENCH_analysis.json.  Scale down with ANALYSIS_BENCH_NODES=8 for a
 # smoke run (the functional gates hold at every scale).
 bench-analysis:
-	$(PYTHON) -m pytest benchmarks/test_scale_analysis.py -q -s -p no:randomly
+	BENCH_WRITE=1 $(PYTHON) -m pytest benchmarks/test_scale_analysis.py -q -s -p no:randomly
 
 # The end-to-end benchmark (perfbench/, declared in BENCHMARK.json):
 # every workload at seed 1, tracing off.  Each run prints its report;
@@ -100,4 +102,4 @@ test-concurrency:
 
 # The full figure/scale benchmark suite.
 bench-all:
-	$(PYTHON) -m pytest benchmarks/ -q -s
+	BENCH_WRITE=1 $(PYTHON) -m pytest benchmarks/ -q -s

@@ -9,6 +9,9 @@ outcome of each.
 
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
 
 
@@ -37,3 +40,21 @@ def report(request, capsys):
     if reporter.rows:
         with capsys.disabled():
             print(reporter.render())
+
+
+@pytest.fixture
+def write_summary():
+    """Persist a bench's ``BENCH_*.json`` summary, only when asked.
+
+    The summaries are tracked files, so a plain test run must not
+    rewrite them: they are written when ``BENCH_WRITE=1`` (the Makefile
+    ``bench*`` targets set it).  Returns whether the file was written.
+    """
+
+    def write(path, results) -> bool:
+        if os.environ.get("BENCH_WRITE") != "1":
+            return False
+        path.write_text(json.dumps(results, indent=2) + "\n")
+        return True
+
+    return write

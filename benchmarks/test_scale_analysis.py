@@ -225,11 +225,12 @@ def test_analysis_prewarm_hit_rate_delta(report):
     )
 
 
-def test_analysis_write_summary(report):
+def test_analysis_write_summary(report, write_summary):
     """Runs last among the analysis benches: persist BENCH_analysis.json."""
     _state.clear()
     if not _results:
         pytest.skip("no analysis benches ran in this session (deselected)")
     _results["config"] = {"nodes": NODES}
-    _SUMMARY.write_text(json.dumps(_results, indent=2) + "\n")
-    report.row("summary", path=_SUMMARY.name, entries=len(_results))
+    written = write_summary(_SUMMARY, _results)
+    report.row("summary", path=_SUMMARY.name, written=written,
+               entries=len(_results))

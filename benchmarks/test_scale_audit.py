@@ -275,9 +275,10 @@ def test_sap_guarantees_survive_drain_checkpoint_prune(report):
     )
 
 
-def test_sap_write_summary(report):
+def test_sap_write_summary(report, write_summary):
     """Runs last among the SAP benches: persist BENCH_audit_plane.json."""
     if not _results:
         pytest.skip("no SAP benches ran in this session (deselected)")
-    _SUMMARY.write_text(json.dumps(_results, indent=2) + "\n")
-    report.row("summary", path=_SUMMARY.name, entries=len(_results))
+    written = write_summary(_SUMMARY, _results)
+    report.row("summary", path=_SUMMARY.name, written=written,
+               entries=len(_results))

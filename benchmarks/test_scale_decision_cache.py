@@ -9,7 +9,6 @@ allocation), and batched vs. single publish; it writes a
 machine-readable summary to ``BENCH_decision_plane.json``.
 """
 
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -193,8 +192,9 @@ def test_sdc_batched_vs_single_publish(report):
     assert ratio > 0.8
 
 
-def test_sdc_write_summary(report):
+def test_sdc_write_summary(report, write_summary):
     """Runs last in this module: persist the summary JSON."""
     assert _results, "ratio benchmarks must run before the summary"
-    _SUMMARY.write_text(json.dumps(_results, indent=2) + "\n")
-    report.row("summary", path=_SUMMARY.name, entries=len(_results))
+    written = write_summary(_SUMMARY, _results)
+    report.row("summary", path=_SUMMARY.name, written=written,
+               entries=len(_results))

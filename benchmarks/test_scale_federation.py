@@ -25,7 +25,6 @@ every assert here is functional/deterministic (simulated rounds, byte
 counts), so none are demoted in CI.
 """
 
-import json
 import math
 import os
 import time
@@ -294,8 +293,9 @@ def test_sfed_partition_healing(report):
     )
 
 
-def test_sfed_write_summary(report):
+def test_sfed_write_summary(report, write_summary):
     """Runs last in this module: persist the summary JSON."""
     assert _results, "federation benchmarks must run before the summary"
-    _SUMMARY.write_text(json.dumps(_results, indent=2) + "\n")
-    report.row("summary", path=_SUMMARY.name, entries=len(_results))
+    written = write_summary(_SUMMARY, _results)
+    report.row("summary", path=_SUMMARY.name, written=written,
+               entries=len(_results))

@@ -340,7 +340,7 @@ def test_aqp_cross_tier_identity(report):
         shutil.rmtree(spill_dir, ignore_errors=True)
 
 
-def test_aqp_write_summary(report, strict_gate):
+def test_aqp_write_summary(report, strict_gate, write_summary):
     """Runs last among the AQP benches: persist BENCH_audit_query.json."""
     spill_dir = _state.pop("spill_dir", None)
     _state.pop("spine", None)
@@ -355,5 +355,6 @@ def test_aqp_write_summary(report, strict_gate):
         "seal_every": SEAL_EVERY,
         "strict": strict_gate,
     }
-    _SUMMARY.write_text(json.dumps(_results, indent=2) + "\n")
-    report.row("summary", path=_SUMMARY.name, entries=len(_results))
+    written = write_summary(_SUMMARY, _results)
+    report.row("summary", path=_SUMMARY.name, written=written,
+               entries=len(_results))

@@ -32,7 +32,6 @@ report-only, 1 forces them; unset = strict only when the module runs
 alone — see ``strict_gate``).
 """
 
-import json
 import os
 import time
 from pathlib import Path
@@ -310,8 +309,9 @@ def test_stp_gossip_rides_the_outbox(report):
     )
 
 
-def test_stp_write_summary(report):
+def test_stp_write_summary(report, write_summary):
     """Runs last in this module: persist the summary JSON."""
     assert _results, "transport benchmarks must run before the summary"
-    _SUMMARY.write_text(json.dumps(_results, indent=2) + "\n")
-    report.row("summary", path=_SUMMARY.name, entries=len(_results))
+    written = write_summary(_SUMMARY, _results)
+    report.row("summary", path=_SUMMARY.name, written=written,
+               entries=len(_results))

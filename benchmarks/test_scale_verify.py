@@ -273,7 +273,7 @@ def test_avp_tamper_detected_in_both_modes(report):
     )
 
 
-def test_avp_write_summary(report, strict_gate):
+def test_avp_write_summary(report, strict_gate, write_summary):
     """Runs last among the AVP benches: persist BENCH_audit_verify.json."""
     spill_dir = _state.pop("spill_dir", None)
     _state.pop("spine", None)
@@ -291,5 +291,6 @@ def test_avp_write_summary(report, strict_gate):
         "cpu_count": CPUS,
         "strict": strict_gate,
     }
-    _SUMMARY.write_text(json.dumps(_results, indent=2) + "\n")
-    report.row("summary", path=_SUMMARY.name, entries=len(_results))
+    written = write_summary(_SUMMARY, _results)
+    report.row("summary", path=_SUMMARY.name, written=written,
+               entries=len(_results))

@@ -17,7 +17,6 @@ A machine-readable summary goes to ``BENCH_wire_masks.json``.  Target:
 asserts sit below the target so CI jitter cannot flake the suite).
 """
 
-import json
 import time
 from pathlib import Path
 
@@ -200,8 +199,9 @@ def test_swm_baseline_transfer(report):
     assert speedup > 2.0
 
 
-def test_swm_write_summary(report):
+def test_swm_write_summary(report, write_summary):
     """Runs last in this module: persist the summary JSON."""
     assert _results, "ratio benchmarks must run before the summary"
-    _SUMMARY.write_text(json.dumps(_results, indent=2) + "\n")
-    report.row("summary", path=_SUMMARY.name, entries=len(_results))
+    written = write_summary(_SUMMARY, _results)
+    report.row("summary", path=_SUMMARY.name, written=written,
+               entries=len(_results))

@@ -25,7 +25,6 @@ smoke), ``WORKER_BENCH_IO_US`` (per-op I/O wait in µs, default 500).
 Summary lands in ``BENCH_worker_scaling.json``.
 """
 
-import json
 import os
 import time
 from pathlib import Path
@@ -164,7 +163,7 @@ def test_swk_shared_working_set(report):
         assert runs["speedup_4w"] >= 1.0
 
 
-def test_swk_write_summary(report):
+def test_swk_write_summary(report, write_summary):
     """Runs last in this module: persist the summary JSON."""
     assert _results, "scaling benchmarks must run before the summary"
     _results["config"] = {
@@ -173,5 +172,6 @@ def test_swk_write_summary(report):
         "worker_counts": list(WORKER_COUNTS),
         "strict": STRICT,
     }
-    _SUMMARY.write_text(json.dumps(_results, indent=2) + "\n")
-    report.row("summary", path=_SUMMARY.name, regimes=len(_results) - 1)
+    written = write_summary(_SUMMARY, _results)
+    report.row("summary", path=_SUMMARY.name, written=written,
+               regimes=len(_results) - 1)

@@ -49,9 +49,47 @@ class RecordKind(str, Enum):
     CUSTOM = "custom"
 
 
-#: The one detail/context encoder.  ``json.dumps`` with options builds a
-#: fresh ``JSONEncoder`` per call; this one is built once.
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+def _make_encoder():
+    """The one detail/context encoder, built once.
+
+    ``json.dumps`` with options builds a fresh ``JSONEncoder`` per call,
+    and ``JSONEncoder.encode`` builds a fresh C encoder per call; this
+    builds the C encoder once, with the same options (sort_keys,
+    ``","``/``":"`` separators, ASCII escaping, NaN allowed, circular
+    check), so the bytes are those of ``JSONEncoder.encode``.  Without
+    the C accelerator the pure-Python encoder stays.
+    """
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+    c_make_encoder = json.encoder.c_make_encoder
+    if c_make_encoder is None:
+        return encoder.encode
+
+    def build():
+        return c_make_encoder(
+            {}, encoder.default, json.encoder.encode_basestring_ascii,
+            None, ":", ",", True, False, True,
+        )
+
+    c_encode = build()
+
+    def encode(o: Any) -> str:
+        nonlocal c_encode
+        try:
+            return "".join(c_encode(o, 0))
+        except BaseException:
+            # A failed encode leaves the ids of the containers it was
+            # inside in the encoder's circular-reference markers, where
+            # a later object reusing one of those ids would read as
+            # circular.  Start from fresh markers — a new encoder rather
+            # than a cleared dict, so an encode running in another
+            # thread keeps its own entries.
+            c_encode = build()
+            raise
+
+    return encode
+
+
+_encode = _make_encoder()
 
 
 @lru_cache(maxsize=4096)

@@ -19,7 +19,7 @@ from repro.audit.records import RecordKind
 from repro.audit.spine import bind_source
 from repro.errors import AccessDenied, DiscoveryError, FlowError, SchemaError
 from repro.ifc.decisions import DecisionPlane, DecisionShard
-from repro.ifc.labels import SecurityContext
+from repro.ifc.flow import FlowDecision
 from repro.middleware.channel import Channel
 from repro.middleware.component import Component, Endpoint, EndpointKind
 from repro.middleware.message import Message
@@ -46,61 +46,24 @@ class DeliveryReport:
     quenched_attributes: int = 0
 
 
-class _PlanEntry:
-    """One fan-out target in a :class:`_BatchPlan`.
-
-    Everything that is constant across a batch for a (message-context,
-    sink-context) pair is hoisted here: the base flow decision and the
-    set of schema attributes quenching would drop for this sink.  The
-    entry stays valid only while ``sink.context`` is the identical
-    object captured at plan time — the batch loop checks that per
-    message and falls back to the unhoisted path when it moves.
-    """
-
-    __slots__ = ("channel", "sink", "sink_ep_name", "sink_ctx", "decision", "drop")
-
-    def __init__(self, channel, decision, drop):
-        self.channel = channel
-        self.sink = channel.sink
-        self.sink_ep_name = channel.sink_endpoint.name
-        self.sink_ctx = channel.sink.context
-        self.decision = decision  # None in AC_ONLY mode
-        self.drop = drop  # frozenset of schema attrs quenched for this sink
-
-
 class _BatchPlan:
     """Hoisted per-(sender, endpoint) state for one publish_batch run.
 
-    ``risky`` is the set of schema attributes carrying extra secrecy —
-    only those can ever be quenched or widen the effective context, so
-    messages touching none of them take a label-math-free fast path.
-    ``eff_cache`` memoizes effective contexts by the frozenset of risky
-    attributes actually kept (they depend on the message context and the
-    schema, not the sink).
+    ``entries`` holds one ``(channel, sink context, decision)`` per live
+    channel: the base flow decision for the message context and that
+    sink context (None in AC_ONLY mode).  An entry's decision is used
+    only while ``channel.sink.context`` is the identical object captured
+    at plan time; otherwise the delivery evaluates afresh.
     """
 
-    __slots__ = ("version", "src_ctx", "msg_ctx", "msg_type", "risky",
-                 "entries", "eff_cache")
+    __slots__ = ("version", "src_ctx", "msg_ctx", "msg_type", "entries")
 
-    def __init__(self, version, src_ctx, msg_ctx, msg_type, risky, entries):
+    def __init__(self, version, src_ctx, msg_ctx, msg_type, entries):
         self.version = version
         self.src_ctx = src_ctx
         self.msg_ctx = msg_ctx
         self.msg_type = msg_type
-        self.risky = risky
         self.entries = entries
-        self.eff_cache: Dict[frozenset, SecurityContext] = {}
-
-    def effective(self, kept_risky: frozenset) -> SecurityContext:
-        """Effective context of a delivery keeping ``kept_risky``."""
-        ctx = self.eff_cache.get(kept_risky)
-        if ctx is None:
-            secrecy = self.msg_ctx.secrecy
-            for name in kept_risky:
-                secrecy = secrecy | self.msg_type.attribute_secrecy(name)
-            ctx = SecurityContext(secrecy, self.msg_ctx.integrity)
-            self.eff_cache[kept_risky] = ctx
-        return ctx
 
 
 class MessageBus:
@@ -357,15 +320,16 @@ class MessageBus:
 
         Beyond audit batching, the per-message fixed costs are hoisted
         into a :class:`_BatchPlan` built once per (sender, sink-set):
-        the creation context, the base flow decision per sink, and the
-        per-sink quench set are computed once and reused for every
-        message whose contexts are unchanged.  Handlers may still
-        suspend, resume, connect or tear down channels (or relabel
-        components, or advance the clock) mid-batch — the loop checks
-        ``channel.active`` and context identity per delivery and the
-        channel-list version per message, rebuilding the plan or falling
-        back to the unhoisted path, so batching never changes which
-        messages handlers see or how messages are stamped.
+        the creation context and the base flow decision per sink are
+        computed once and reused for every message whose contexts are
+        unchanged; quenching runs per delivery on masks
+        (:meth:`~repro.middleware.message.MessageType.quench`).
+        Handlers may still suspend, resume, connect or tear down
+        channels (or relabel components, or advance the clock)
+        mid-batch — the loop checks ``channel.active`` and context
+        identity per delivery and the channel-list version per message,
+        rebuilding the plan or evaluating afresh, so batching never
+        changes which messages handlers see or how messages are stamped.
 
         ``batch`` is a list of attribute-value mappings, one per message,
         as would be passed to :meth:`publish` as keyword arguments.
@@ -390,17 +354,16 @@ class MessageBus:
                 )
                 message.sent_at = clock()
                 sub = DeliveryReport()
-                for entry in plan.entries:
-                    channel = entry.channel
+                for channel, sink_ctx, decision in plan.entries:
                     if not channel.active:
                         continue
                     sub.sent += 1
-                    if entry.sink.context is not entry.sink_ctx:
-                        # Sink relabelled mid-batch: this entry's hoisted
-                        # decision is stale — take the per-message path.
-                        self._deliver_on(channel, message, sub)
-                        continue
-                    self._deliver_planned(plan, entry, message, sub)
+                    # A sink relabelled mid-batch makes the hoisted
+                    # decision stale: evaluate afresh.
+                    self._deliver_on(
+                        channel, message, sub,
+                        decision if channel.sink.context is sink_ctx else None,
+                    )
                 self._accumulate(sub)
                 report.sent += sub.sent
                 report.delivered += sub.delivered
@@ -422,12 +385,6 @@ class MessageBus:
         """
         src_ctx = source.context
         msg_ctx = src_ctx.creation_context()
-        msg_type = src_ep.message_type
-        risky = frozenset(
-            spec.name
-            for spec in msg_type.attributes.values()
-            if spec.extra_secrecy
-        )
         evaluate = self.plane.evaluate
         ac_only = self.mode == EnforcementMode.AC_ONLY
         entries = []
@@ -435,89 +392,15 @@ class MessageBus:
             if not channel.alive:
                 continue
             sink_ctx = channel.sink.context
-            decision = None if ac_only else evaluate(msg_ctx, sink_ctx)
-            drop = frozenset(
-                name
-                for name in risky
-                if not (
-                    msg_ctx.secrecy | msg_type.attribute_secrecy(name)
-                    <= sink_ctx.secrecy
-                )
-            )
-            entries.append(_PlanEntry(channel, decision, drop))
+            entries.append((
+                channel,
+                sink_ctx,
+                None if ac_only else evaluate(msg_ctx, sink_ctx),
+            ))
         return _BatchPlan(
-            self._channels_version, src_ctx, msg_ctx, msg_type, risky, entries
+            self._channels_version, src_ctx, msg_ctx, src_ep.message_type,
+            entries,
         )
-
-    def _deliver_planned(
-        self,
-        plan: _BatchPlan,
-        entry: _PlanEntry,
-        message: Message,
-        report: DeliveryReport,
-    ) -> None:
-        """The hoisted twin of :meth:`_deliver_on`: identical decisions,
-        quenching and audit records, with the per-message label algebra
-        replaced by plan lookups."""
-        channel = entry.channel
-        sink = entry.sink
-        if entry.decision is None:  # AC_ONLY
-            channel.messages_carried += 1
-            self.plane.audit_allowed(
-                channel.source.name, sink.name,
-                message.context, entry.sink_ctx,
-                {"msg_id": message.msg_id, "mode": "ac-only"},
-            )
-            sink.deliver(entry.sink_ep_name, message)
-            report.delivered += 1
-            return
-
-        if not entry.decision.allowed:
-            report.denied += 1
-            self.plane.audit_denied(
-                channel.source.name,
-                sink.name,
-                entry.decision.reason,
-                message.context,
-                entry.sink_ctx,
-            )
-            return
-
-        outgoing = message
-        dropped: List[str] = []
-        kept_risky: frozenset = plan.risky
-        if plan.risky:
-            present_risky = plan.risky.intersection(message.values)
-            if present_risky:
-                dropped = sorted(present_risky & entry.drop)
-                kept_risky = present_risky - entry.drop
-            else:
-                kept_risky = present_risky
-        if dropped:
-            kept = {
-                k: v for k, v in message.values.items() if k not in entry.drop
-            }
-            outgoing = Message.__new__(Message)
-            outgoing.type = message.type
-            outgoing.values = kept
-            outgoing.context = message.context
-            outgoing.msg_id = message.msg_id
-            outgoing.sent_at = message.sent_at
-            report.quenched_attributes += len(dropped)
-        if self.plane.audit is not None:
-            detail = {"msg_id": message.msg_id, "type": message.type.name}
-            if dropped:
-                detail["quenched"] = dropped
-            effective = (
-                plan.effective(kept_risky) if kept_risky else message.context
-            )
-            self.plane.audit_allowed(
-                channel.source.name, sink.name,
-                effective, entry.sink_ctx, detail,
-            )
-        channel.messages_carried += 1
-        sink.deliver(entry.sink_ep_name, outgoing)
-        report.delivered += 1
 
     def route(
         self, source: Component, endpoint_name: str, message: Message
@@ -550,9 +433,18 @@ class MessageBus:
         self.stats.quenched_attributes += report.quenched_attributes
 
     def _deliver_on(
-        self, channel: Channel, message: Message, report: DeliveryReport
+        self,
+        channel: Channel,
+        message: Message,
+        report: DeliveryReport,
+        decision: Optional[FlowDecision] = None,
     ) -> None:
+        """Deliver ``message`` over one channel: the flow rule (``decision``
+        when the caller hoisted it for the sink's current context),
+        Fig. 10 quenching, the audit record and the handler call."""
         sink = channel.sink
+        sink_ctx = sink.context
+        context = message.context
         if self.mode == EnforcementMode.AC_ONLY:
             # The paper's baseline: nothing re-checked after the PEP.
             # Deliveries are still logged (message-level audit needs no
@@ -560,29 +452,38 @@ class MessageBus:
             channel.messages_carried += 1
             self.plane.audit_allowed(
                 channel.source.name, sink.name,
-                message.context, sink.context,
+                context, sink_ctx,
                 {"msg_id": message.msg_id, "mode": "ac-only"},
             )
             sink.deliver(channel.sink_endpoint.name, message)
             report.delivered += 1
             return
 
-        base = self.plane.evaluate(message.context, sink.context)
-        if not base.allowed:
+        if decision is None:
+            decision = self.plane.evaluate(context, sink_ctx)
+        if not decision.allowed:
             report.denied += 1
             self.plane.audit_denied(
                 channel.source.name,
                 sink.name,
-                base.reason,
-                message.context,
-                sink.context,
+                decision.reason,
+                context,
+                sink_ctx,
             )
             return
 
         outgoing = message
-        dropped = message.dropped_attributes(sink.context)
+        dropped, effective = message.type.quench(
+            message.values, context.secrecy.mask, sink_ctx.secrecy.mask
+        )
         if dropped:
-            outgoing = message.quenched_for(sink.context)
+            outgoing = Message._of(
+                message.type,
+                {k: v for k, v in message.values.items() if k not in dropped},
+                context,
+                message.msg_id,
+                message.sent_at,
+            )
             report.quenched_attributes += len(dropped)
         if self.plane.audit is not None:
             detail = {"msg_id": message.msg_id, "type": message.type.name}
@@ -594,8 +495,8 @@ class MessageBus:
             # case is exactly when the trail must show the reduced view.
             self.plane.audit_allowed(
                 channel.source.name, sink.name,
-                outgoing.effective_context(),
-                sink.context, detail,
+                message.type.widen(context, effective),
+                sink_ctx, detail,
             )
         channel.messages_carried += 1
         sink.deliver(channel.sink_endpoint.name, outgoing)

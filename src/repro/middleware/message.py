@@ -28,6 +28,8 @@ from repro.ifc.labels import Label, SecurityContext
 from repro.ifc.tags import Tag, as_tags
 
 _msg_counter = itertools.count(1)
+#: Widened contexts a :class:`MessageType` keeps before starting afresh.
+_WIDENED_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -68,9 +70,19 @@ class MessageType:
                     f"duplicate attribute {spec.name!r} in type {name!r}"
                 )
             self.attributes[spec.name] = spec
-        #: name → extra secrecy label, filled on first use so tags are
-        #: interned (and given process-local bits) in first-use order.
+        #: Attributes carrying extra secrecy, by name: the only ones
+        #: quenching can drop or that can widen a context.
+        self._risky: Tuple[str, ...] = tuple(
+            sorted(spec.name for spec in attributes if spec.extra_secrecy)
+        )
+        #: name → extra secrecy label / mask, filled on first use so tags
+        #: are interned (and given process-local bits) in first-use order.
         self._secrecy: Dict[str, Label] = {}
+        self._masks: Dict[str, int] = {}
+        #: (secrecy mask, integrity mask) → widened context, shared by
+        #: every delivery that audits it; cleared when full.  Masks are
+        #: sound keys: the interner only appends.
+        self._widened: Dict[Tuple[int, int], SecurityContext] = {}
 
     @classmethod
     def simple(cls, name: str, **attr_types: Type) -> "MessageType":
@@ -111,6 +123,50 @@ class MessageType:
             label = self._secrecy[name] = Label(spec.extra_secrecy)
         return label
 
+    def quench(
+        self, values: Mapping[str, Any], base: int, receiver: int
+    ) -> Tuple[List[str], int]:
+        """Fig. 10's quench rule on interned secrecy masks.
+
+        An attribute present in ``values`` is kept when ``base | extra``
+        fits ``receiver`` (``(base | extra) & ~receiver == 0``); when
+        ``base`` itself does not fit, every present attribute is
+        dropped.  Only attributes carrying extra secrecy are walked —
+        the rest need ``base`` alone.  Returns the dropped names, sorted,
+        and the effective secrecy mask: ``base`` ORed with the extra
+        secrecy of every kept attribute.
+        """
+        if base & ~receiver:
+            return sorted(values), base
+        dropped: List[str] = []
+        masks = self._masks
+        for name in self._risky:
+            if name in values:
+                extra = masks.get(name)
+                if extra is None:
+                    extra = masks[name] = self.attribute_secrecy(name).mask
+                if extra & ~receiver:
+                    dropped.append(name)
+                else:
+                    base |= extra
+        return dropped, base
+
+    def widen(self, context: SecurityContext, secrecy: int) -> SecurityContext:
+        """``context`` with its secrecy set to ``secrecy``, a superset mask
+        from :meth:`quench` — the carried object itself when nothing
+        widens."""
+        if secrecy == context.secrecy.mask:
+            return context
+        key = (secrecy, context.integrity.mask)
+        widened = self._widened.get(key)
+        if widened is None:
+            if len(self._widened) >= _WIDENED_MAX:
+                self._widened.clear()
+            widened = self._widened[key] = SecurityContext(
+                Label.from_mask(secrecy), context.integrity
+            )
+        return widened
+
     def __repr__(self) -> str:
         return f"MessageType({self.name!r}, {sorted(self.attributes)})"
 
@@ -137,43 +193,55 @@ class Message:
     def __post_init__(self) -> None:
         self.type.validate(self.values)
 
+    @classmethod
+    def _of(
+        cls,
+        type: MessageType,
+        values: Dict[str, Any],
+        context: SecurityContext,
+        msg_id: int,
+        sent_at: float,
+    ) -> "Message":
+        """Assemble a message without re-validating: quenched copies and
+        wire receipts may lack required attributes the sender had."""
+        message = cls.__new__(cls)
+        message.type = type
+        message.values = values
+        message.context = context
+        message.msg_id = msg_id
+        message.sent_at = sent_at
+        return message
+
     def effective_context(self) -> SecurityContext:
         """Carried context plus every present attribute's extra secrecy —
         the most constrained view, used when a receiver takes the whole
         message."""
-        secrecy = self.context.secrecy
-        for name in self.values:
-            secrecy = secrecy | self.type.attribute_secrecy(name)
-        return SecurityContext(secrecy, self.context.integrity)
+        # A receiver holding every tag (mask -1) keeps every attribute.
+        __, secrecy = self.type.quench(
+            self.values, self.context.secrecy.mask, -1
+        )
+        return self.type.widen(self.context, secrecy)
 
     def quenched_for(self, receiver: SecurityContext) -> "Message":
         """Return a copy with attributes the receiver cannot take removed.
 
-        Implements Fig. 10's source quenching: the base context must be
-        satisfiable by the receiver (callers check that separately via
-        the flow rule); attributes carrying *extra* secrecy tags are
-        included only when ``base secrecy + extra ⊆ receiver secrecy``.
-        Required attributes that must be dropped cause the copy to mark
-        them absent — receivers see a partial view.
+        Implements Fig. 10's source quenching (see
+        :meth:`MessageType.quench`): attributes carrying *extra* secrecy
+        tags are included only when ``base secrecy + extra ⊆ receiver
+        secrecy``.  Required attributes that must be dropped cause the
+        copy to mark them absent — receivers see a partial view.
         """
-        kept: Dict[str, Any] = {}
-        for name, value in self.values.items():
-            needed = self.context.secrecy | self.type.attribute_secrecy(name)
-            if needed <= receiver.secrecy:
-                kept[name] = value
-        quenched = Message.__new__(Message)
-        quenched.type = self.type
-        quenched.values = kept
-        quenched.context = self.context
-        quenched.msg_id = self.msg_id
-        quenched.sent_at = self.sent_at
-        return quenched
+        dropped = self.dropped_attributes(receiver)
+        return Message._of(
+            self.type,
+            {k: v for k, v in self.values.items() if k not in dropped},
+            self.context,
+            self.msg_id,
+            self.sent_at,
+        )
 
     def dropped_attributes(self, receiver: SecurityContext) -> List[str]:
         """Names of attributes quenching would remove for ``receiver``."""
-        dropped = []
-        for name in self.values:
-            needed = self.context.secrecy | self.type.attribute_secrecy(name)
-            if not needed <= receiver.secrecy:
-                dropped.append(name)
-        return sorted(dropped)
+        return self.type.quench(
+            self.values, self.context.secrecy.mask, receiver.secrecy.mask
+        )[0]

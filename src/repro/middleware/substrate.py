@@ -50,11 +50,11 @@ SubstrateHandler = Callable[[str, Message], None]
 
 @dataclass
 class SubstrateEnvelope:
-    """A decoded transfer: what the receive-side enforcement sees.
+    """An in-process transfer carrying a whole :class:`Message`.
 
-    Wire payloads (:class:`TagSetEnvelope` / :class:`MaskEnvelope`) are
-    decoded into this form on receipt; in-process callers may also hand
-    one straight to a substrate (the legacy path, kept for tooling).
+    The legacy path, kept for tooling: in-process callers may hand one
+    straight to a substrate, which receives it, like every wire
+    envelope, as a batch of one row.
     """
 
     source_host: str
@@ -180,28 +180,6 @@ class SubstrateStats:
     dropped_undecodable: int = 0
     #: Table re-syncs triggered by post-handshake tag growth.
     table_syncs: int = 0
-
-
-def _rebuild_message(
-    type: MessageType,
-    values: Dict,
-    context: SecurityContext,
-    msg_id: int,
-    sent_at: float,
-) -> Message:
-    """Reassemble a Message from wire fields without re-validating.
-
-    The sender validated against the schema; re-validating here would
-    also reject legitimately quenched partial messages (required
-    attributes already dropped upstream).
-    """
-    message = Message.__new__(Message)
-    message.type = type
-    message.values = values
-    message.context = context
-    message.msg_id = msg_id
-    message.sent_at = sent_at
-    return message
 
 
 class MessagingSubstrate:
@@ -628,157 +606,47 @@ class MessagingSubstrate:
             )
             self.audit.append(kind, self.machine.hostname, source_host, event)
 
-    def _decode(self, datagram: Datagram) -> Optional[SubstrateEnvelope]:
-        """Decode a wire payload into a :class:`SubstrateEnvelope`."""
-        payload = datagram.payload
-        if isinstance(payload, SubstrateEnvelope):
-            return payload  # legacy in-process path
-        if isinstance(payload, TagSetEnvelope):
-            message = _rebuild_message(
-                payload.type,
-                payload.values,
-                SecurityContext.of(payload.msg_secrecy, payload.msg_integrity),
-                payload.msg_id,
-                payload.sent_at,
-            )
-            return SubstrateEnvelope(
-                payload.source_host,
-                payload.source_process,
-                payload.dest_host,
-                payload.dest_process,
-                message,
-                SecurityContext.of(payload.src_secrecy, payload.src_integrity),
-            )
-        if isinstance(payload, MaskEnvelope):
-            # Key the translation table by the transport-level source —
-            # the same field handshake state is keyed by — never by the
-            # sender-controlled envelope header: masks remapped through
-            # the wrong peer's table would silently relabel data.
-            host = datagram.source
-            if not self.wire.can_decode(
-                host,
-                payload.msg_secrecy_mask,
-                payload.msg_integrity_mask,
-                payload.src_secrecy_mask,
-                payload.src_integrity_mask,
-            ):
-                # Masks beyond our translation table: control traffic was
-                # lost or reordered.  Dropping (audited) is the only safe
-                # move — guessing at unknown bits would mislabel data.
-                self.stats.dropped_undecodable += 1
-                if self.audit is not None:
-                    self.audit.append(
-                        RecordKind.TABLE_SYNC,
-                        self.machine.hostname,
-                        host,
-                        {
-                            "step": "undecodable",
-                            "msg_id": payload.msg_id,
-                            "table_version": payload.table_version,
-                        },
-                    )
-                return None
-            message = _rebuild_message(
-                payload.type,
-                payload.values,
-                self.wire.decode_context(
-                    host, payload.msg_secrecy_mask, payload.msg_integrity_mask
-                ),
-                payload.msg_id,
-                payload.sent_at,
-            )
-            return SubstrateEnvelope(
-                payload.source_host,
-                payload.source_process,
-                payload.dest_host,
-                payload.dest_process,
-                message,
-                self.wire.decode_context(
-                    host, payload.src_secrecy_mask, payload.src_integrity_mask
-                ),
-            )
-        return None
+    def _decode(self, datagram: Datagram) -> Optional[Tuple]:
+        """Decode a wire payload into one batch ``(source address,
+        message context, message type, rows)``, each row
+        ``(dest_process, values, msg_id, sent_at)``.
 
-    def _receive(self, datagram: Datagram) -> None:
-        if datagram.kind == "gossip":
-            if self._gossip_node is not None:
-                self._gossip_node.receive(datagram)
-            return
-        if isinstance(datagram.payload, WireControl):
-            self._handle_control(datagram.source, datagram.payload)
-            return
-        if isinstance(datagram.payload, MaskBatchEnvelope):
-            self._receive_mask_batch(datagram)
-            return
-        envelope = self._decode(datagram)
-        if envelope is None:
-            return
-        entry = self._local.get(envelope.dest_process)
-        if entry is None:
-            # Misdelivery: audited and counted, so compliance tooling can
-            # see envelopes that reached the wrong substrate.
-            self.stats.dropped_unroutable += 1
-            if self.audit is not None:
-                self.audit.append(
-                    RecordKind.MISDELIVERY,
-                    f"{envelope.source_host}/{envelope.source_process}",
-                    f"{self.machine.hostname}/{envelope.dest_process}",
-                    {"msg_id": envelope.message.msg_id,
-                     "reason": "no such process on this substrate"},
-                )
-            return
-        process, handler = entry
-        message = envelope.message
-        source_addr = f"{envelope.source_host}/{envelope.source_process}"
-
-        if self.enforce:
-            decision = self.plane.evaluate(message.context, process.security)
-            if not decision.allowed:
-                self.stats.denied_remote += 1
-                self.plane.audit_denied(
-                    source_addr, process.name, decision.reason,
-                    message.context, process.security,
-                )
-                return
-            dropped = message.dropped_attributes(process.security)
-            if dropped:
-                # Fig. 10: message-level tags quench attribute values the
-                # receiver's context does not satisfy.
-                self.stats.quenched_attributes += len(dropped)
-                message = message.quenched_for(process.security)
-            # As on the bus: audit the effective context of what was
-            # actually delivered — base context plus the extra secrecy of
-            # the attributes the receiver really got.
-            self.plane.audit_allowed(
-                source_addr,
-                process.name,
-                message.effective_context(),
-                process.security,
-                {"msg_id": message.msg_id, "quenched": dropped}
-                if dropped
-                else {"msg_id": message.msg_id},
-            )
-
-        self.stats.delivered += 1
-        handler(source_addr, message)
-
-    def _receive_mask_batch(self, datagram: Datagram) -> None:
-        """Deliver a :class:`MaskBatchEnvelope`: decode the shared
-        header once, then run the ordinary per-row receive protocol.
-
-        Per row the decisions, quenching, counters and audit records are
-        identical to per-message delivery; the batch only hoists what is
-        constant — the mask translation, the flow decision and quench
-        set per destination process, and the effective-context algebra
-        per kept-attribute set (the :class:`~repro.middleware.bus.
-        _BatchPlan` memo, receive-side).  Registry entries are re-read
-        per row by identity, so a handler deregistering a process
-        mid-batch turns the remaining rows unroutable, exactly as
-        per-datagram delivery would.
+        A :class:`MaskBatchEnvelope` carries its rows; every other
+        envelope is a batch of one row.  Masks beyond our translation
+        table are dropped and audited here (None).
         """
         payload = datagram.payload
+        if isinstance(payload, SubstrateEnvelope):
+            message = payload.message  # legacy in-process path
+            return (
+                f"{payload.source_host}/{payload.source_process}",
+                message.context,
+                message.type,
+                ((payload.dest_process, message.values, message.msg_id,
+                  message.sent_at),),
+            )
+        if isinstance(payload, TagSetEnvelope):
+            return (
+                f"{payload.source_host}/{payload.source_process}",
+                SecurityContext.of(payload.msg_secrecy, payload.msg_integrity),
+                payload.type,
+                ((payload.dest_process, payload.values, payload.msg_id,
+                  payload.sent_at),),
+            )
+        if isinstance(payload, MaskBatchEnvelope):
+            rows = payload.rows
+            what = {"rows": len(rows)}
+        elif isinstance(payload, MaskEnvelope):
+            rows = ((payload.dest_process, payload.values, payload.msg_id,
+                     payload.sent_at),)
+            what = {"msg_id": payload.msg_id}
+        else:
+            return None
+        # Key the translation table by the transport-level source — the
+        # same field handshake state is keyed by — never by the
+        # sender-controlled envelope header: masks remapped through the
+        # wrong peer's table would silently relabel data.
         host = datagram.source
-        rows = payload.rows
         if not self.wire.can_decode(
             host,
             payload.msg_secrecy_mask,
@@ -786,38 +654,63 @@ class MessagingSubstrate:
             payload.src_secrecy_mask,
             payload.src_integrity_mask,
         ):
+            # Masks beyond our translation table: control traffic was
+            # lost or reordered.  Dropping (audited) is the only safe
+            # move — guessing at unknown bits would mislabel data.
             self.stats.dropped_undecodable += len(rows)
             if self.audit is not None:
                 self.audit.append(
                     RecordKind.TABLE_SYNC,
                     self.machine.hostname,
                     host,
-                    {"step": "undecodable", "rows": len(rows),
+                    {"step": "undecodable", **what,
                      "table_version": payload.table_version},
                 )
-            return
-        msg_ctx = self.wire.decode_context(
-            host, payload.msg_secrecy_mask, payload.msg_integrity_mask
+            return None
+        return (
+            f"{payload.source_host}/{payload.source_process}",
+            self.wire.decode_context(
+                host, payload.msg_secrecy_mask, payload.msg_integrity_mask
+            ),
+            payload.type,
+            rows,
         )
-        source_addr = f"{payload.source_host}/{payload.source_process}"
-        mtype = payload.type
+
+    def _receive(self, datagram: Datagram) -> None:
+        """The one receive loop: control and gossip traffic aside, every
+        envelope decodes to rows sharing a source, context and type.
+
+        Per row: the registry is re-read (a handler deregistering a
+        process turns its later rows unroutable), the flow rule is
+        re-checked against the receiver's context — hoisted per
+        destination while that context object is unchanged — and
+        attribute values the receiver may not see are quenched
+        (Fig. 10).  Every outcome is counted and audited.
+        """
+        if datagram.kind == "gossip":
+            if self._gossip_node is not None:
+                self._gossip_node.receive(datagram)
+            return
+        if isinstance(datagram.payload, WireControl):
+            self._handle_control(datagram.source, datagram.payload)
+            return
+        batch = self._decode(datagram)
+        if batch is None:
+            return
+        source_addr, msg_ctx, mtype, rows = batch
+        base = msg_ctx.secrecy.mask
         enforce = self.enforce
         local = self._local
         stats = self.stats
         plane = self.plane
-        risky = frozenset(
-            spec.name
-            for spec in mtype.attributes.values()
-            if spec.extra_secrecy
-        )
-        # dest_process → (process, handler, decision, drop) hoisted plan;
-        # effective contexts memoized by kept risky attrs (sink-free).
-        plans: Dict[str, Tuple] = {}
-        eff_cache: Dict[frozenset, SecurityContext] = {}
+        # dest_process → (receiver context, decision).
+        decisions: Dict[str, Tuple] = {}
 
         for dest_process, values, msg_id, sent_at in rows:
             entry = local.get(dest_process)
             if entry is None:
+                # Misdelivery: audited and counted, so compliance tooling
+                # can see envelopes that reached the wrong substrate.
                 stats.dropped_unroutable += 1
                 if self.audit is not None:
                     self.audit.append(
@@ -829,64 +722,41 @@ class MessagingSubstrate:
                     )
                 continue
             process, handler = entry
-            if not enforce:
-                stats.delivered += 1
-                handler(
-                    source_addr,
-                    _rebuild_message(mtype, values, msg_ctx, msg_id, sent_at),
-                )
-                continue
-            plan = plans.get(dest_process)
-            if plan is None or plan[0] is not process:
-                decision = plane.evaluate(msg_ctx, process.security)
-                drop = frozenset(
-                    name
-                    for name in risky
-                    if not (
-                        msg_ctx.secrecy | mtype.attribute_secrecy(name)
-                        <= process.security.secrecy
+            if enforce:
+                security = process.security
+                hoisted = decisions.get(dest_process)
+                if hoisted is None or hoisted[0] is not security:
+                    hoisted = (security, plane.evaluate(msg_ctx, security))
+                    decisions[dest_process] = hoisted
+                decision = hoisted[1]
+                if not decision.allowed:
+                    stats.denied_remote += 1
+                    plane.audit_denied(
+                        source_addr, process.name, decision.reason,
+                        msg_ctx, security,
                     )
+                    continue
+                dropped, effective = mtype.quench(
+                    values, base, security.secrecy.mask
                 )
-                plan = (process, handler, decision, drop)
-                plans[dest_process] = plan
-            decision, drop = plan[2], plan[3]
-            if not decision.allowed:
-                stats.denied_remote += 1
-                plane.audit_denied(
-                    source_addr, process.name, decision.reason,
-                    msg_ctx, process.security,
+                if dropped:
+                    stats.quenched_attributes += len(dropped)
+                    values = {
+                        k: v for k, v in values.items() if k not in dropped
+                    }
+                # As on the bus: audit the effective context of what was
+                # actually delivered — base context plus the extra
+                # secrecy of the attributes the receiver really got.
+                plane.audit_allowed(
+                    source_addr,
+                    process.name,
+                    mtype.widen(msg_ctx, effective),
+                    security,
+                    {"msg_id": msg_id, "quenched": dropped}
+                    if dropped
+                    else {"msg_id": msg_id},
                 )
-                continue
-            message = _rebuild_message(mtype, values, msg_ctx, msg_id, sent_at)
-            dropped: List[str] = []
-            kept_risky: frozenset = frozenset()
-            if risky:
-                present_risky = risky.intersection(values)
-                if present_risky:
-                    dropped = sorted(present_risky & drop)
-                    kept_risky = present_risky - drop
-            if dropped:
-                kept = {k: v for k, v in values.items() if k not in drop}
-                message = _rebuild_message(mtype, kept, msg_ctx, msg_id, sent_at)
-                stats.quenched_attributes += len(dropped)
-            if kept_risky:
-                effective = eff_cache.get(kept_risky)
-                if effective is None:
-                    secrecy = msg_ctx.secrecy
-                    for name in kept_risky:
-                        secrecy = secrecy | mtype.attribute_secrecy(name)
-                    effective = SecurityContext(secrecy, msg_ctx.integrity)
-                    eff_cache[kept_risky] = effective
-            else:
-                effective = msg_ctx
-            plane.audit_allowed(
-                source_addr,
-                process.name,
-                effective,
-                process.security,
-                {"msg_id": msg_id, "quenched": dropped}
-                if dropped
-                else {"msg_id": msg_id},
-            )
             stats.delivered += 1
-            handler(source_addr, message)
+            handler(
+                source_addr, Message._of(mtype, values, msg_ctx, msg_id, sent_at)
+            )

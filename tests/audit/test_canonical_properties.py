@@ -117,6 +117,33 @@ def test_equal_contexts_from_separate_builds_encode_alike(
     assert records[0].canonical() == _reference(records[1])
 
 
+def _record(detail):
+    return AuditRecord(1, 2.5, RecordKind.CUSTOM, "a", "b", detail)
+
+
+def test_circular_detail_raises_and_the_next_encode_is_clean():
+    inner = {"k": 1}
+    outer = {"inner": inner}
+    inner["back"] = outer
+    with pytest.raises(ValueError, match="Circular reference"):
+        _record(outer).canonical()
+    # The same objects, the cycle broken: nothing of the failed encode
+    # may linger and read as circular now.
+    del inner["back"]
+    record = _record(outer)
+    assert record.canonical() == _reference(record)
+
+
+def test_unserialisable_detail_raises_and_the_next_encode_is_clean():
+    inner = {"when": object()}
+    outer = {"inner": inner, "n": 3}
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        _record(outer).canonical()
+    inner["when"] = 4.0
+    record = _record(outer)
+    assert record.canonical() == _reference(record)
+
+
 CTX = SecurityContext.of(["medical", "ann"], ["hosp-dev"])
 
 

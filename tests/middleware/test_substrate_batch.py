@@ -12,7 +12,7 @@ import pytest
 from repro.audit import RecordKind
 from repro.cloud import Machine
 from repro.errors import NetworkError
-from repro.ifc import SecurityContext, as_tags
+from repro.ifc import PrivilegeSet, SecurityContext, as_tags
 from repro.middleware import (
     AttributeSpec,
     MaskBatchEnvelope,
@@ -234,6 +234,38 @@ class TestSendBatch:
             r.kind == RecordKind.MISDELIVERY and r.subject == "bh1/b"
             for r in m2.audit
         )
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_relabel_mid_batch_rechecks_later_rows(self, batched):
+        # The receiver's first delivery sheds the tag the messages carry:
+        # its later rows must be denied, as later datagrams would be — a
+        # decision hoisted per destination holds only while the
+        # receiver's context object is unchanged.
+        sim, net, (m1, m2), (s1, s2) = _world()
+        ctx = SecurityContext.of(["bt-r"], [])
+        p1 = m1.launch("src", ctx)
+        pa = m2.launch("a", ctx, PrivilegeSet.of(remove_secrecy=["bt-r"]))
+        s1.register(p1, lambda a, m: None)
+        got = []
+
+        def shed(addr, message):
+            got.append(message.values["value"])
+            m2.kernel.change_context(pa.pid, SecurityContext.public())
+
+        s2.register(pa, lambda a, m: None)
+        _warm(sim, s1, p1, [(s2, "a")])
+        s2.register(pa, shed)
+        denied_before = s2.stats.denied_remote
+        messages = [Message(READING, {"value": float(i)}, context=ctx)
+                    for i in range(3)]
+        if batched:
+            s1.send_batch(p1, [(s2, "a")], messages)
+        else:
+            for message in messages:
+                s1.send(p1, s2, "a", message)
+        sim.drain()
+        assert got == [0.0]
+        assert s2.stats.denied_remote - denied_before == 2
 
     def test_before_handshake_falls_back_to_tagsets(self):
         sim, net, (m1, m2), (s1, s2) = _world()

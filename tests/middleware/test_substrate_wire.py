@@ -13,10 +13,12 @@ from repro.errors import NetworkError
 from repro.ifc import SecurityContext, as_tags
 from repro.middleware import (
     AttributeSpec,
+    MaskBatchEnvelope,
     MaskEnvelope,
     Message,
     MessageType,
     MessagingSubstrate,
+    SubstrateEnvelope,
     TagSetEnvelope,
 )
 from repro.net import Network
@@ -131,34 +133,73 @@ class TestHandshake:
         assert got[2].context == late
 
     def test_undecodable_mask_envelope_dropped_and_audited(self, sim):
+        self._undecodable(sim, batched=False)
+
+    def test_undecodable_mask_batch_dropped_and_audited(self, sim):
+        self._undecodable(sim, batched=True)
+
+    @staticmethod
+    def _undecodable(sim, batched):
         net, m1, m2, s1, s2 = _pair(sim)
         p2 = m2.launch("b")
         s2.register(p2, lambda a, m: None)
-        # A mask envelope from a host s2 never handshaked with.
-        net.send(
-            "wh1",
-            "wh2",
-            MaskEnvelope(
-                source_host="wh1",
-                source_process="rogue",
-                dest_host="wh2",
-                dest_process="b",
-                type=READING,
-                values={"value": 1.0},
-                msg_id=999,
-                sent_at=0.0,
-                msg_secrecy_mask=0b1011,
-                msg_integrity_mask=0,
-                src_secrecy_mask=0b1011,
-                src_integrity_mask=0,
-                table_version=4,
-            ),
+        masks = dict(
+            msg_secrecy_mask=0b1011,
+            msg_integrity_mask=0,
+            src_secrecy_mask=0b1011,
+            src_integrity_mask=0,
+            table_version=4,
         )
+        # A mask envelope from a host s2 never handshaked with: one
+        # message, or a batch of two rows.
+        if batched:
+            payload = MaskBatchEnvelope(
+                source_host="wh1", source_process="rogue", dest_host="wh2",
+                type=READING,
+                rows=(("b", {"value": 1.0}, 998, 0.0),
+                      ("b", {"value": 2.0}, 999, 0.0)),
+                **masks,
+            )
+            dropped, detail = 2, {"rows": 2}
+        else:
+            payload = MaskEnvelope(
+                source_host="wh1", source_process="rogue", dest_host="wh2",
+                dest_process="b", type=READING, values={"value": 1.0},
+                msg_id=999, sent_at=0.0, **masks,
+            )
+            dropped, detail = 1, {"msg_id": 999}
+        net.send("wh1", "wh2", payload)
         sim.drain()
-        assert s2.stats.dropped_undecodable == 1
+        assert s2.stats.dropped_undecodable == dropped
         assert s2.stats.delivered == 0
         syncs = [r for r in m2.audit if r.kind == RecordKind.TABLE_SYNC]
-        assert syncs and syncs[0].detail["step"] == "undecodable"
+        assert [r.detail for r in syncs] == [
+            {"step": "undecodable", **detail, "table_version": 4}
+        ]
+
+    def test_in_process_envelope_is_received_like_a_wire_one(self, sim):
+        net, m1, m2, s1, s2 = _pair(sim)
+        typed = MessageType("person", [
+            AttributeSpec("name", str, extra_secrecy=as_tags(["wt-pii"])),
+            AttributeSpec("country", str),
+        ])
+        ctx = SecurityContext.of(["wt-base"], [])
+        p2 = m2.launch("b", ctx)
+        got = []
+        s2.register(p2, lambda a, m: got.append((a, m)))
+        message = Message(typed, {"name": "Ann", "country": "UK"}, ctx)
+        net.send("wh1", "wh2", SubstrateEnvelope(
+            "wh1", "a", "wh2", "b", message, ctx,
+        ))
+        sim.drain()
+        [(addr, delivered)] = got
+        assert addr == "wh1/a"
+        assert delivered.values == {"country": "UK"}
+        assert delivered.context is ctx and delivered.msg_id == message.msg_id
+        assert s2.stats.quenched_attributes == 1
+        [flow] = [r for r in m2.audit if r.kind == RecordKind.FLOW_ALLOWED]
+        assert flow.detail == {"msg_id": message.msg_id, "quenched": ["name"]}
+        assert flow.source_context is ctx
 
 
 class TestParity:
