@@ -174,6 +174,9 @@ def test_aqp_query_via_index_probes(report):
     needle_s = time.perf_counter() - start
     stats = q.last_stats
     assert needle and all(r.actor == NEEDLE for r in needle)
+    # The needle's posting lists name its records: the query reads
+    # (almost) nothing else.
+    assert stats.records_scanned <= 2 * len(needle)
     # The needle actor lives in the earliest 1% of records: almost every
     # segment is ruled out by its index.
     assert stats.segments_scanned * 10 <= stats.segments_total

@@ -204,7 +204,8 @@ class AuditLog(RecorderMixin):
         """
         record = AuditRecord(
             self._base_seq + len(self._records), self._clock(), kind, actor,
-            subject, dict(detail or {}), source_context, target_context,
+            subject, dict(detail) if detail else {}, source_context,
+            target_context,
         )
         self._records.append(record)
         self._pending_canonicals.append(record.canonical())

@@ -11,8 +11,11 @@ chain cannot answer it by iterating the whole stream.
 * over a tiered :class:`~repro.audit.spine.AuditSpine` it rides the
   sink's own index-backed ``query()`` — per-segment
   :class:`~repro.audit.storage.SegmentIndex` probes decide which sealed
-  segments to scan, so cold spill files are loaded only when their
-  index says they can match;
+  segments to read, so cold spill files are opened only when their
+  index says they can match; a filter naming an ``actor``, ``subject``
+  or ``entity`` then reads only the records on that name's shortest
+  posting list (cold ones slot by slot), and the open tail's postings
+  catch up lazily on the same query;
 * over a plain :class:`~repro.audit.log.AuditLog` (or any sink without
   a ``query`` method) it falls back to a flat scan with the same
   :func:`~repro.audit.records.record_matches` predicate — identical
@@ -20,8 +23,10 @@ chain cannot answer it by iterating the whole stream.
 
 Every call fills :attr:`AuditQuery.last_stats` with a
 :class:`QueryStats` (segments probed / scanned / skipped, cold loads,
-records touched), which is how the benchmarks assert "segments scanned
-≪ segments total" rather than hoping.
+records read), which is how the benchmarks assert "segments scanned
+≪ segments total" and "records read ≈ hits" rather than hoping.
+Postings only decide what *not* to read: every record read still goes
+through :func:`~repro.audit.records.record_matches`.
 
 Example::
 
@@ -52,7 +57,9 @@ class QueryStats:
         segments_skipped: sealed segments the index ruled out.
         cold_loads: spill files read to answer this query.
         records_scanned: records the filter predicate actually saw
-            (sealed scans plus the always-scanned open tails).
+            (the candidates read from sealed segments and open tails:
+            a posting list's records, or every record of a chunk when
+            the filter names no actor, subject or entity).
     """
 
     segments_total: int = 0

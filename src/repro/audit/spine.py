@@ -248,6 +248,10 @@ class AuditSpine(RecorderMixin):
         #: Per-source staging rings: one writer (worker) per ring keeps
         #: emission contention-free; drains snapshot ring cursors.
         self._staged: Dict[str, List[AuditRecord]] = {}
+        #: Set by :meth:`emit` after each append, cleared by
+        #: :meth:`drain`: a clock tick with nothing staged is one check,
+        #: not a scan of every ring.
+        self._dirty = False
         #: The storage layer: per-source open tails plus (when spill is
         #: configured) sealed/indexed/demotable segments — see
         #: ``repro.audit.storage`` and ``docs/audit_storage.md``.
@@ -342,12 +346,13 @@ class AuditSpine(RecorderMixin):
         its emission order."""
         record = AuditRecord(
             next(self._seq), self._clock(), kind, actor, subject,
-            dict(detail or {}), source_context, target_context,
+            dict(detail) if detail else {}, source_context, target_context,
         )
         ring = self._staged.get(source)
         if ring is None:
             ring = self._ring(source)
         ring.append(record)
+        self._dirty = True
         if len(ring) >= self.ring_capacity:
             self.stats_ring_overflows += 1
             self.drain()
@@ -431,6 +436,14 @@ class AuditSpine(RecorderMixin):
             drained = 0
             store = self._store
             actors = self._actors
+            # Cleared *before* any cursor is snapshotted: emit sets the
+            # flag *after* its append, so an append this drain's
+            # snapshot misses sets the flag again after this clear, and
+            # the next tick drains it.  At worst a flag outlives its
+            # record (appended before the snapshot, flagged after the
+            # clear), and the next tick runs an empty drain, which
+            # counts nothing.
+            self._dirty = False
             for source, ring in list(self._staged.items()):
                 # Cursor snapshot: appends past `n` belong to the next
                 # drain.  ring[:n] copies the prefix; `del ring[:n]` is
@@ -478,7 +491,7 @@ class AuditSpine(RecorderMixin):
         return clock.off_advance(self._on_tick)
 
     def _on_tick(self, now: float) -> None:
-        if any(self._staged.values()):
+        if self._dirty:
             self.drain()
 
     def checkpoint(self) -> Optional[AuditRecord]:
@@ -603,22 +616,12 @@ class AuditSpine(RecorderMixin):
 
         Staged records are included (they are already part of the
         stream, just not yet tamper-evident); checkpoint records are
-        not — they live on their own chain.
+        not — they live on their own chain.  The filter is
+        :meth:`query`'s.
         """
-        result = []
-        for r in self._merged():
-            if kind is not None and r.kind != kind:
-                continue
-            if actor is not None and r.actor != actor:
-                continue
-            if subject is not None and r.subject != subject:
-                continue
-            if since is not None and r.timestamp < since:
-                continue
-            if until is not None and r.timestamp > until:
-                continue
-            result.append(r)
-        return result
+        return self.query(
+            kind=kind, actor=actor, subject=subject, since=since, until=until
+        )
 
     def query(
         self,
@@ -633,22 +636,28 @@ class AuditSpine(RecorderMixin):
     ) -> List[AuditRecord]:
         """Index-backed record query across hot and cold tiers.
 
-        Unlike :meth:`records` (a full merged scan), ``query`` probes
-        each sealed segment's :class:`~repro.audit.storage.SegmentIndex`
-        first and scans only segments that *could* match — on a
-        million-record chain a tag or actor query touches a handful of
-        segments, and cold ones are loaded only when their index says
-        they matter.  ``entity`` matches actor or subject; ``tag`` is a
-        qualified ``"namespace:name"`` string matched against either
-        recorded context.  Results are seq-ordered and identical to
-        filtering the flat record stream (the property the test suite
-        pins).  Pass a :class:`~repro.audit.query.QueryStats` as
-        ``stats`` to observe the probe/scan accounting.
+        ``query`` probes each sealed segment's
+        :class:`~repro.audit.storage.SegmentIndex` first and reads only
+        segments that *could* match — on a million-record chain a tag or
+        actor query touches a handful of segments, and cold ones are
+        loaded only when their index says they matter.  When the filter
+        names an ``actor``, ``subject`` or ``entity``, each segment (and
+        the open tail) reads only the records on that name's shortest
+        posting list, cold ones slot by slot.  ``entity`` matches actor
+        or subject; ``tag`` is a qualified ``"namespace:name"`` string
+        matched against either recorded context.  Every record read is
+        still filtered by :func:`~repro.audit.records.record_matches`,
+        so results are seq-ordered and identical to filtering the flat
+        record stream (the property the test suite pins).  Pass a
+        :class:`~repro.audit.query.QueryStats` as ``stats`` to observe
+        the probe/scan accounting.
         """
         with self._maint:
             self.drain()  # staged records are part of the stream
             kind_value = kind.value if kind is not None else None
-            matched: List[AuditRecord] = []
+            # One list of candidate records per chunk read: the whole
+            # chunk, or just the records its posting lists name.
+            reads: List[List[AuditRecord]] = []
             store = self._store
             for source in store.sources():
                 for chunk in store.sealed.get(source, ()):
@@ -666,23 +675,30 @@ class AuditSpine(RecorderMixin):
                         store.stats_cold_loads += 1
                         if stats is not None:
                             stats.cold_loads += 1
-                    for record in chunk.records():
-                        if stats is not None:
-                            stats.records_scanned += 1
-                        if record_matches(
-                            record, kind, actor, subject, entity, tag,
-                            since, until,
-                        ):
-                            matched.append(record)
-                # The open tail has no index yet — always scanned.
-                for record in list(store.tails[source].records):
-                    if stats is not None:
-                        stats.records_scanned += 1
+                    offsets = chunk.index.candidates(actor, subject, entity)
+                    reads.append(
+                        chunk.records() if offsets is None
+                        else chunk.records_at(offsets)
+                    )
+                # The open tail's postings catch up from their cursor.
+                tail = store.tails[source]
+                offsets = tail.candidates(actor, subject, entity)
+                records = tail.records
+                reads.append(
+                    list(records) if offsets is None
+                    else [records[i] for i in offsets]
+                )
+            matched: List[AuditRecord] = []
+            for records in reads:
+                if stats is not None:
+                    stats.records_scanned += len(records)
+                matched.extend(
+                    record for record in records
                     if record_matches(
                         record, kind, actor, subject, entity, tag,
                         since, until,
-                    ):
-                        matched.append(record)
+                    )
+                )
             matched.sort(key=lambda r: r.seq)
             return matched
 

@@ -56,8 +56,9 @@ import re
 import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.audit.log import _DIGEST_BYTES, chain_digest, replay_chain
 from repro.audit.records import AuditRecord, _context_tags
@@ -97,12 +98,14 @@ class AuditSegment:
     the absolute position of the first retained record — pruning (or
     sealing) a prefix promotes the last covered digest to
     ``base_digest``, keeping the retained suffix verifiable, exactly
-    like ``AuditLog.prune_before``.
+    like ``AuditLog.prune_before``.  The tail's posting lists (the
+    open-tail half of the query index) are caught up lazily by
+    :meth:`candidates` and start over on every prefix prune.
     """
 
     __slots__ = (
         "source", "records", "digests", "base_digest", "base_count",
-        "canonicals",
+        "canonicals", "_indexed", "_by_actor", "_by_subject",
     )
 
     def __init__(self, source: str, genesis: str):
@@ -117,6 +120,15 @@ class AuditSegment:
         #: (``SegmentStore.configure_spill``); plain in-memory spines
         #: skip the extra retention.
         self.canonicals: Optional[List[str]] = None
+        self._reset_postings()
+
+    def _reset_postings(self) -> None:
+        # Per-actor / per-subject offsets into ``records``, built up to
+        # the ``_indexed`` cursor only when a query asks for them
+        # (:meth:`candidates`), so :meth:`chain` pays nothing for them.
+        self._indexed = 0
+        self._by_actor: Dict[str, List[int]] = {}
+        self._by_subject: Dict[str, List[int]] = {}
 
     @property
     def head(self) -> str:
@@ -181,7 +193,87 @@ class AuditSegment:
         self.digests = self.digests[keep_from:]
         if self.canonicals is not None:
             self.canonicals = self.canonicals[keep_from:]
+        # Every offset moved: the postings start over on the next query.
+        self._reset_postings()
         return keep_from
+
+    def candidates(
+        self,
+        actor: Optional[str] = None,
+        subject: Optional[str] = None,
+        entity: Optional[str] = None,
+    ) -> Optional[List[int]]:
+        """Offsets into ``records`` that can match, or None (scan all).
+
+        Catches the postings up from the cursor first — the only time
+        the open tail's postings are ever built.
+        """
+        if actor is None and subject is None and entity is None:
+            return None
+        records = self.records
+        if self._indexed < len(records):
+            _extend_postings(
+                self._by_actor, self._by_subject, records, self._indexed
+            )
+            self._indexed = len(records)
+        return _candidates(
+            self._by_actor, self._by_subject, actor, subject, entity
+        )
+
+
+def _extend_postings(
+    by_actor: Dict[str, List[int]],
+    by_subject: Dict[str, List[int]],
+    records: List[AuditRecord],
+    start: int,
+) -> None:
+    """Append each record's offset (from ``start``) to its actor's and
+    its subject's posting list."""
+    for i, r in enumerate(islice(records, start, None), start):
+        posting = by_actor.get(r.actor)
+        if posting is None:
+            by_actor[r.actor] = [i]
+        else:
+            posting.append(i)
+        posting = by_subject.get(r.subject)
+        if posting is None:
+            by_subject[r.subject] = [i]
+        else:
+            posting.append(i)
+
+
+def _candidates(
+    by_actor: Dict[str, List[int]],
+    by_subject: Dict[str, List[int]],
+    actor: Optional[str],
+    subject: Optional[str],
+    entity: Optional[str],
+) -> Optional[List[int]]:
+    """The shortest posting list the filter names, ascending; None when
+    it names no actor, subject or entity.
+
+    Every filter must hold of a match, so any one of the lists covers
+    every match; ``entity`` is actor *or* subject, so its list is the
+    union of both.
+    """
+    best: Optional[List[int]] = None
+    if actor is not None:
+        best = by_actor.get(actor, [])
+    if subject is not None:
+        posting = by_subject.get(subject, [])
+        if best is None or len(posting) < len(best):
+            best = posting
+    if entity is not None:
+        as_actor = by_actor.get(entity, [])
+        as_subject = by_subject.get(entity, [])
+        if best is None or len(as_actor) + len(as_subject) < len(best):
+            if not as_subject:
+                best = as_actor
+            elif not as_actor:
+                best = as_subject
+            else:
+                best = sorted(set(as_actor).union(as_subject))
+    return best
 
 
 class SegmentIndex:
@@ -193,10 +285,19 @@ class SegmentIndex:
     kinds, and every qualified tag carried by any record's contexts.
     Indexes stay resident even when the segment's records are cold —
     they are the hot map over the cold tier.
+
+    Built by :meth:`over`, the index also holds per-actor and
+    per-subject *posting lists* (``by_actor`` / ``by_subject``: name →
+    ascending record offsets); ``actors`` and ``subjects`` are those
+    dicts' keys, and :meth:`candidates` names the only slots a query
+    must read.  Postings are memory-only — :meth:`to_dict` (the spill
+    header) writes the name sets alone, so an index read back with
+    :meth:`from_dict` has none and its segment is scanned whole.
     """
 
     __slots__ = ("time_min", "time_max", "seq_min", "seq_max",
-                 "actors", "subjects", "kinds", "tags")
+                 "actors", "subjects", "kinds", "tags",
+                 "by_actor", "by_subject")
 
     def __init__(
         self,
@@ -204,10 +305,12 @@ class SegmentIndex:
         time_max: float,
         seq_min: int,
         seq_max: int,
-        actors: Set[str],
-        subjects: Set[str],
+        actors: AbstractSet[str],
+        subjects: AbstractSet[str],
         kinds: Set[str],
         tags: Set[str],
+        by_actor: Optional[Dict[str, List[int]]] = None,
+        by_subject: Optional[Dict[str, List[int]]] = None,
     ):
         self.time_min = time_min
         self.time_max = time_max
@@ -217,14 +320,16 @@ class SegmentIndex:
         self.subjects = subjects
         self.kinds = kinds
         self.tags = tags
+        self.by_actor = by_actor
+        self.by_subject = by_subject
 
     @classmethod
     def over(cls, records: List[AuditRecord]) -> "SegmentIndex":
         """Build the index over a sealed segment's records.
 
-        One comprehension pass per set (cheaper than a single
-        interpreted loop doing every extraction — this runs at seal
-        time for every record that ever goes cold).
+        One comprehension pass per set, plus one loop for the posting
+        lists (this runs at seal time for every record that ever goes
+        cold).
         """
         # Enforcement reuses a handful of context objects across a whole
         # segment: dedupe by identity before walking tags (the walk
@@ -240,15 +345,37 @@ class SegmentIndex:
         tags: Set[str] = set()
         for ctx in contexts.values():
             tags |= _context_tags(ctx)
+        by_actor: Dict[str, List[int]] = {}
+        by_subject: Dict[str, List[int]] = {}
+        _extend_postings(by_actor, by_subject, records, 0)
         return cls(
             time_min=min(r.timestamp for r in records),
             time_max=max(r.timestamp for r in records),
             seq_min=min(r.seq for r in records),
             seq_max=max(r.seq for r in records),
-            actors={r.actor for r in records},
-            subjects={r.subject for r in records if r.subject},
+            actors=by_actor.keys(),
+            # The empty subject is a posting like any other (a
+            # ``subject=""`` query must find it); the header leaves it out.
+            subjects=by_subject.keys(),
             kinds={r.kind.value for r in records},
             tags=tags,
+            by_actor=by_actor,
+            by_subject=by_subject,
+        )
+
+    def candidates(
+        self,
+        actor: Optional[str] = None,
+        subject: Optional[str] = None,
+        entity: Optional[str] = None,
+    ) -> Optional[List[int]]:
+        """Ascending offsets of the only records that can match, or
+        None when the filter names no actor, subject or entity (or the
+        index carries no postings) — then every record must be read."""
+        if self.by_actor is None:
+            return None
+        return _candidates(
+            self.by_actor, self.by_subject, actor, subject, entity
         )
 
     def may_match(
@@ -291,7 +418,7 @@ class SegmentIndex:
             "seq_min": self.seq_min,
             "seq_max": self.seq_max,
             "actors": sorted(self.actors),
-            "subjects": sorted(self.subjects),
+            "subjects": sorted(s for s in self.subjects if s),
             "kinds": sorted(self.kinds),
             "tags": sorted(self.tags),
         }
@@ -570,6 +697,46 @@ class SealedSegment:
             AuditRecord.from_canonical(canonical)
             for canonical, __ in self.entries()
         ]
+
+    def records_at(self, offsets: List[int]) -> List[AuditRecord]:
+        """The records at ``offsets`` (segment-relative, e.g. from
+        :meth:`SegmentIndex.candidates`).
+
+        Hot: list lookups.  Cold: only the named fixed-stride slots are
+        read, through ``mmap`` — no whole-file decode.  A slot with a
+        bad length or bad bytes raises :class:`IntegrityViolation`, as a
+        whole-file read does.
+        """
+        if self._records is not None:
+            records = self._records
+            return [records[i] for i in offsets]
+        try:
+            data_start, stride = self._spill_layout()
+            room = stride - _LEN.size - _DIGEST_BYTES
+            with open(self.path, "rb") as fh:
+                mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+                try:
+                    result = []
+                    for i in offsets:
+                        slot = data_start + i * stride
+                        (length,) = _LEN.unpack(mm[slot:slot + _LEN.size])
+                        if length > room:
+                            raise IntegrityViolation(
+                                f"{self.path}: corrupt spill segment (slot "
+                                f"{i} length {length} exceeds the stride)"
+                            )
+                        body = slot + _LEN.size + _DIGEST_BYTES
+                        result.append(AuditRecord.from_canonical(
+                            mm[body:body + length].decode()
+                        ))
+                    return result
+                finally:
+                    mm.close()
+        except (OSError, UnicodeDecodeError, ValueError, KeyError,
+                TypeError, AttributeError, struct.error) as exc:
+            raise IntegrityViolation(
+                f"{self.path}: corrupt spill segment ({exc})"
+            ) from exc
 
     def digest_at(self, position: int) -> Optional[str]:
         """Chain digest at absolute ``position``.

@@ -110,6 +110,62 @@ class TestAuditQueryOverTiers:
         assert q.by_tag(tag) == q.by_tag(tag.qualified)
 
 
+def _old_records_filter(records, kind=None, actor=None, subject=None,
+                        since=None, until=None):
+    """The merged-scan filter ``AuditSpine.records`` used to hand-roll."""
+    result = []
+    for r in records:
+        if kind is not None and r.kind != kind:
+            continue
+        if actor is not None and r.actor != actor:
+            continue
+        if subject is not None and r.subject != subject:
+            continue
+        if since is not None and r.timestamp < since:
+            continue
+        if until is not None and r.timestamp > until:
+            continue
+        result.append(r)
+    return result
+
+
+class TestRecordsIsQuery:
+    def test_records_equals_the_merged_scan_filter(self, tmp_path):
+        sim = Simulator()
+        spine = AuditSpine(clock=sim.now, name="audit@test")
+        spine.configure_spill(tmp_path, hot_segments=1, seal_every=8)
+        seed_events(sim, spine, n=43)  # 5 sealed, 3 in the tail
+        spine.emit("kernel", RecordKind.FLOW_ALLOWED, "actor1", "", {}, CTX)
+        spine.drain()
+        store = spine._store
+        sealed = store.sealed["bus"]
+        assert any(c.is_cold for c in sealed)
+        assert any(not c.is_cold for c in sealed)
+        assert store.tails["bus"].records
+        for filters in (
+            dict(),
+            dict(kind=RecordKind.FLOW_DENIED),
+            dict(actor="actor1"),
+            dict(actor="late"),
+            dict(subject="dev3"),
+            dict(subject=""),
+            dict(actor="actor2", subject="dev6", since=3.0),
+            dict(kind=RecordKind.FLOW_ALLOWED, subject="dev2", until=30.0),
+            dict(since=12.0, until=35.0),
+            dict(actor="mallory"),
+        ):
+            # Staged, not yet drained: records() must still see these.
+            spine.emit(
+                "bus", RecordKind.FLOW_DENIED, "actor1", "dev3", {}, CTX
+            )
+            spine.emit("kernel", RecordKind.FLOW_ALLOWED, "late", "", {}, CTX)
+            assert spine.pending == 2
+            # list(spine) is the merged stream and does not drain.
+            expect = _old_records_filter(list(spine), **filters)
+            assert spine.records(**filters) == expect, filters
+        assert spine.verify()
+
+
 class TestCompliancePortability:
     def _violating(self, sink):
         sink.flow_allowed("eu-sensor", "us-store", CTX, CTX)
@@ -136,49 +192,89 @@ class TestCompliancePortability:
 
 SOURCES = ["bus", "kernel"]
 ACTORS = ["alice", "bob", "carol"]
-SUBJECTS = ["hr-monitor", "dashboard"]
+# "" is a subject like any other: its posting list must be found too.
+SUBJECTS = ["hr-monitor", "dashboard", ""]
 KINDS = [RecordKind.FLOW_ALLOWED, RecordKind.FLOW_DENIED]
 CTXS = [None, CTX, STATS_CTX]
 
-ops = st.one_of(
-    st.tuples(
-        st.just("append"),
-        st.integers(0, len(SOURCES) - 1),
-        st.integers(0, len(KINDS) - 1),
-        st.integers(0, len(ACTORS) - 1),
-        st.integers(0, len(SUBJECTS) - 1),
-        st.integers(0, len(CTXS) - 1),
-    ),
-    st.tuples(st.just("drain")),
-    st.tuples(st.just("advance"), st.integers(1, 5)),
-    st.tuples(st.just("prune"), st.integers(0, 30)),
-    st.tuples(st.just("demote"), st.integers(0, 30)),
-)
-
 queries = st.one_of(
     st.tuples(st.just("actor"), st.sampled_from(ACTORS)),
+    st.tuples(st.just("subject"), st.sampled_from(SUBJECTS)),
     st.tuples(st.just("entity"), st.sampled_from(ACTORS + SUBJECTS)),
     st.tuples(st.just("kind"), st.sampled_from(KINDS)),
     st.tuples(st.just("tag"), st.sampled_from(
         ["local:medical", "local:stats", "local:nowhere"]
     )),
     st.tuples(st.just("range"), st.integers(0, 40), st.integers(0, 40)),
+    # The dashboard filter: one kind, one subject, the last stretch.
+    st.tuples(
+        st.just("dashboard"), st.sampled_from(KINDS),
+        st.sampled_from(SUBJECTS), st.integers(0, 40),
+    ),
 )
+
+appends = st.tuples(
+    st.just("append"),
+    st.integers(0, len(SOURCES) - 1),
+    st.integers(0, len(KINDS) - 1),
+    st.integers(0, len(ACTORS) - 1),
+    st.integers(0, len(SUBJECTS) - 1),
+    st.integers(0, len(CTXS) - 1),
+)
+# Queries between writes extend the tail postings from their cursor;
+# the seals and prunes that follow must reset them.  Appends and
+# queries are drawn twice as often as the rest so scripts often run
+# query → append past a seal → query.
+ops = st.one_of(
+    appends,
+    appends,
+    st.tuples(st.just("query"), queries),
+    st.tuples(st.just("query"), queries),
+    st.tuples(st.just("drain")),
+    st.tuples(st.just("advance"), st.integers(1, 5)),
+    st.tuples(st.just("prune"), st.integers(0, 30)),
+    st.tuples(st.just("demote"), st.integers(0, 30)),
+)
+
+
+def _filters(probe):
+    if probe[0] == "actor":
+        return dict(actor=probe[1])
+    if probe[0] == "subject":
+        return dict(subject=probe[1])
+    if probe[0] == "entity":
+        return dict(entity=probe[1])
+    if probe[0] == "kind":
+        return dict(kind=probe[1])
+    if probe[0] == "tag":
+        return dict(tag=probe[1])
+    if probe[0] == "dashboard":
+        return dict(kind=probe[1], subject=probe[2], since=float(probe[3]))
+    lo, hi = sorted((float(probe[1]), float(probe[2])))
+    return dict(since=lo, until=hi)
+
+
+def _assert_query_equals_flat(spine, q, probe):
+    filters = _filters(probe)
+    flat = list(spine)  # the reference semantics: the merged stream
+    expect = [r for r in flat if record_matches(r, **filters)]
+    assert q.query(**filters) == expect
 
 
 @settings(max_examples=50, deadline=None)
 @given(
-    st.lists(ops, min_size=1, max_size=50),
+    st.lists(ops, min_size=10, max_size=60),
     st.lists(queries, min_size=1, max_size=4),
 )
 def test_tiered_query_equals_flat_filter(tmp_path_factory, script, probes):
     """The tiering property: whatever interleaving of append / drain /
-    seal / spill / prune the spine went through, AuditQuery answers
-    exactly like filtering the flat record stream."""
+    seal / spill / prune / query the spine went through, AuditQuery
+    answers exactly like filtering the flat record stream."""
     spill = tmp_path_factory.mktemp("spill")
     sim = Simulator()
     spine = AuditSpine(clock=sim.now, name="audit@prop")
     spine.configure_spill(spill, hot_segments=1, seal_every=4)
+    q = AuditQuery(spine)
     for op in script:
         if op[0] == "append":
             __, s, k, a, sub, c = op
@@ -194,20 +290,8 @@ def test_tiered_query_equals_flat_filter(tmp_path_factory, script, probes):
             spine.prune_before(float(op[1]))
         elif op[0] == "demote":
             spine.demote_before(float(op[1]))
-    q = AuditQuery(spine)
-    flat = list(spine)  # drains; the reference semantics
+        elif op[0] == "query":
+            _assert_query_equals_flat(spine, q, op[1])
     for probe in probes:
-        if probe[0] == "actor":
-            filters = dict(actor=probe[1])
-        elif probe[0] == "entity":
-            filters = dict(entity=probe[1])
-        elif probe[0] == "kind":
-            filters = dict(kind=probe[1])
-        elif probe[0] == "tag":
-            filters = dict(tag=probe[1])
-        else:
-            lo, hi = sorted((float(probe[1]), float(probe[2])))
-            filters = dict(since=lo, until=hi)
-        expect = [r for r in flat if record_matches(r, **filters)]
-        assert q.query(**filters) == expect
+        _assert_query_equals_flat(spine, q, probe)
     assert spine.verify()

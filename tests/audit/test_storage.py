@@ -197,6 +197,32 @@ class TestColdVerification:
         sorted(tmp_path.glob("*.seg"))[0].unlink()
         assert not spine.verify()
 
+    @pytest.mark.parametrize("doctor", ["bad-bytes", "bad-length", "cut"])
+    def test_doctored_slot_read_raises_integrity_violation(
+        self, tmp_path, doctor
+    ):
+        # A cold query reads single slots through records_at: a doctored
+        # slot must surface as a violation there too, never a crash.
+        __, spine = self._cold_spine(tmp_path)
+        chunk = spine._store.sealed["bus"][0]
+        assert chunk.is_cold
+        blob = chunk.path.read_bytes()
+        at = blob.rfind(b'"subj"')  # inside the last slot's canonical
+        if doctor == "bad-bytes":
+            blob = blob[:at] + b'"\xa2\xa2\xa2j"' + blob[at + 6:]
+        elif doctor == "bad-length":
+            data_start, stride = chunk._spill_layout()
+            slot = data_start + (chunk.count - 1) * stride
+            blob = blob[:slot] + b"\xff\xff\x00\x00" + blob[slot + 4:]
+        else:
+            blob = blob[:at]
+        chunk.path.write_bytes(blob)
+        last = chunk.count - 1
+        with pytest.raises(IntegrityViolation):
+            chunk.records_at([last])
+        with pytest.raises(IntegrityViolation):
+            spine.query(actor=f"actor{last % 4}")  # fill's actor cycle
+
 
 class TestPruneAcrossTiers:
     def test_prune_drops_whole_cold_chunks(self, tmp_path):
@@ -305,6 +331,33 @@ class TestSegmentIndex:
         assert not index.may_match(since=1e9)
         assert not index.may_match(until=-1.0)
 
+    def test_postings_name_every_record_of_a_name(self):
+        records = self._records()
+        index = SegmentIndex.over(records)
+        assert index.candidates(actor="alice") == list(range(6))
+        assert index.candidates(subject="subj") == list(range(6))
+        assert index.candidates(entity="subj") == list(range(6))
+        assert index.candidates(actor="mallory") == []
+        # No name in the filter: every record must be read.
+        assert index.candidates() is None
+
+    def test_shortest_posting_list_wins(self):
+        sim, spine = make_spine()
+        for i in range(6):
+            spine.emit(
+                "bus", RecordKind.FLOW_ALLOWED, "alice",
+                "rare" if i == 4 else "", {"i": i},
+            )
+        spine.drain()
+        index = SegmentIndex.over(list(spine._store.tails["bus"].records))
+        assert index.candidates(actor="alice", subject="rare") == [4]
+        assert index.candidates(subject="") == [0, 1, 2, 3, 5]
+        assert index.candidates(entity="rare") == [4]
+        # The empty subject is indexed in memory, but the header keeps
+        # writing the same name sets as before.
+        assert index.may_match(subject="")
+        assert index.to_dict()["subjects"] == ["rare"]
+
     def test_record_matches_agrees_with_index_admission(self):
         records = self._records()
         index = SegmentIndex.over(records)
@@ -357,6 +410,17 @@ class TestSealedSegmentUnit:
         assert chunk.entries() == hot_entries
         assert [r.detail["i"] for r in chunk.records()] == list(range(6))
         chunk.verify()
+
+    def test_records_at_reads_the_named_records(self, tmp_path):
+        sim, spine = make_spine()
+        spine.configure_spill(tmp_path, hot_segments=100, seal_every=6)
+        fill(sim, spine, 12)
+        chunk = spine._store.sealed["bus"][0]
+        hot = chunk.records_at([1, 4, 5])
+        assert [r.detail["i"] for r in hot] == [1, 4, 5]
+        chunk.demote(tmp_path)
+        assert chunk.records_at([1, 4, 5]) == hot
+        assert chunk.records_at([]) == []
 
     def test_cold_prune_prefix_rewrites_file(self, tmp_path):
         sim, spine = make_spine()
