@@ -27,8 +27,9 @@ lint:
 		echo "ruff not installed; compileall-only lint"; \
 	fi
 
-# Quick bench: the decision-plane microbenchmarks, with the report rows
-# printed and BENCH_decision_plane.json regenerated.
+# Quick bench: the decision-plane microbenchmarks (DecisionPlane.evaluate
+# vs the seed's frozenset rule, batched vs single publish), with the
+# report rows printed and BENCH_decision_plane.json regenerated.
 bench:
 	BENCH_WRITE=1 $(PYTHON) -m pytest benchmarks/test_scale_decision_cache.py -q -s
 
@@ -48,9 +49,9 @@ bench-audit:
 bench-federation:
 	BENCH_WRITE=1 $(PYTHON) -m pytest benchmarks/test_scale_federation.py -q -s
 
-# Worker-plane bench: enforcing-publish throughput and decision-cache
-# hit rate at 1/4/16 real worker threads on shared vs. disjoint tag
-# working sets; regenerates BENCH_worker_scaling.json.
+# Worker-plane bench: enforcing-publish throughput at 1/4/16 real worker
+# threads on shared vs. disjoint tag working sets; regenerates
+# BENCH_worker_scaling.json.
 bench-workers:
 	BENCH_WRITE=1 $(PYTHON) -m pytest benchmarks/test_scale_workers.py -q -s
 
@@ -79,9 +80,8 @@ bench-verify:
 	BENCH_WRITE=1 $(PYTHON) -m pytest benchmarks/test_scale_verify.py -q -s -p no:randomly
 
 # Analysis-plane bench: compile a 16-node federation into the flow
-# graph, sweep all-pairs reachability, catch the seeded forbidden
-# declassifier chain at the pre-deploy gate, and measure the decision-
-# cache cold-start hit-rate delta from pre-warming; regenerates
+# graph, sweep all-pairs reachability, and catch the seeded forbidden
+# declassifier chain at the pre-deploy gate; regenerates
 # BENCH_analysis.json.  Scale down with ANALYSIS_BENCH_NODES=8 for a
 # smoke run (the functional gates hold at every scale).
 bench-analysis:
@@ -96,7 +96,7 @@ perfbench:
 	done
 
 # The real-thread stress tests of the contention-proofed planes
-# (decision cache snapshot/epoch protocol, audit-spine ring drains).
+# (audit-spine ring drains, parallel deep verify).
 test-concurrency:
 	$(PYTHON) -m pytest -m concurrency -q
 

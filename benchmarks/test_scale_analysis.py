@@ -5,10 +5,8 @@ runs set it lower) with per-zone sensors, relays and kiosks, a per-zone
 declassifier each, and one seeded two-hop declassifier chain from the
 patient feed in d0 to the offshore archive in d15.  Measured: compile
 wall time and graph size, query-engine throughput over the all-pairs
-reachability sweep, the pre-deploy gate catching the seeded forbidden
-flow (with the chain as evidence), and the decision-cache cold-start
-hit-rate delta from pre-warming — the honest number behind the
-"prewarm lifts cold-start hit rate" claim.  Functional gates always
+reachability sweep, and the pre-deploy gate catching the seeded
+forbidden flow (with the chain as evidence).  Functional gates always
 assert; a machine-readable summary goes to ``BENCH_analysis.json``.
 """
 
@@ -19,12 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    Forbid,
-    FlowQuery,
-    compile_deployment,
-    reachable_pairs,
-)
+from repro.analysis import Forbid, FlowQuery, compile_deployment
 from repro.deploy import Deployment
 from repro.ifc import Declassifier, PrivilegeSet, SecurityContext
 from repro.middleware.component import Component
@@ -176,52 +169,6 @@ def test_analysis_gate_catches_seeded_chain(report):
         verdict=finding.verdict,
         chain="/".join(finding.chains[0]),
         wall=f"{verify_s * 1e3:.1f}ms",
-    )
-
-
-def test_analysis_prewarm_hit_rate_delta(report):
-    """Cold-start decision hit rate, unwarmed vs pre-warmed shards."""
-    cold = build_world()
-    warm = build_world()
-    graph = warm.analysis_graph()
-    started = time.perf_counter()
-    prewarm = warm.prewarm_decisions(graph=graph)
-    prewarm_s = time.perf_counter() - started
-    assert prewarm.installed > 0
-    workload = reachable_pairs(graph)
-
-    def first_contact(deploy):
-        hits = misses = 0
-        for handle in deploy.nodes():
-            cache = handle.machine.shard.cache
-            h0, m0 = cache.hits, cache.misses
-            for src, dst in workload:
-                cache.evaluate(src, dst)
-            hits += cache.hits - h0
-            misses += cache.misses - m0
-        total = hits + misses
-        return hits / total if total else 0.0
-
-    warm_rate = first_contact(warm)
-    cold_rate = first_contact(cold)
-    assert warm_rate > cold_rate
-    assert warm_rate == 1.0  # every statically admissible pair is warm
-    assert cold_rate == 0.0  # first contact always misses cold
-    _results["prewarm"] = {
-        "pairs": prewarm.pairs,
-        "installed": prewarm.installed,
-        "shards": len(prewarm.shards),
-        "prewarm_s": round(prewarm_s, 4),
-        "cold_first_contact_hit_rate": cold_rate,
-        "warm_first_contact_hit_rate": warm_rate,
-        "hit_rate_delta": round(warm_rate - cold_rate, 4),
-    }
-    report.row(
-        "prewarm delta",
-        pairs=prewarm.pairs,
-        cold=f"{cold_rate:.0%}",
-        warm=f"{warm_rate:.0%}",
-        wall=f"{prewarm_s * 1e3:.1f}ms",
     )
 
 

@@ -4,8 +4,7 @@ Compile declared policy — a deployment (live or spec), its gateways,
 privilege grants, ECA rules and legal obligations — into a typed
 :class:`FlowGraph`; answer reachability and declassifier-chain queries
 over it; diff two graphs to see exactly which flows a policy change
-admits; gate deploys on :class:`Forbid`/:class:`Require` assertions; and
-pre-warm machine decision caches from the reachable pair set.
+admits; and gate deploys on :class:`Forbid`/:class:`Require` assertions.
 
 Public API::
 
@@ -15,7 +14,6 @@ Public API::
         FlowQuery, AnalysisStats, CreepReport, analyse_creep,
         FlowAssertion, Forbid, Require, Finding, AnalysisReport,
         run_gate, assertions_from_obligations,
-        PrewarmReport, reachable_pairs, prewarm_deployment,
     )
 
 Construction discipline: only this package constructs ``FlowGraph``
@@ -56,12 +54,6 @@ from repro.analysis.graph import (
     FlowNode,
     NodeKind,
 )
-from repro.analysis.prewarm import (
-    PrewarmReport,
-    prewarm_deployment,
-    prewarm_shard,
-    reachable_pairs,
-)
 from repro.analysis.queries import (
     AnalysisStats,
     CreepReport,
@@ -82,7 +74,6 @@ __all__ = [
     "FlowQuery",
     "Forbid",
     "NodeKind",
-    "PrewarmReport",
     "Require",
     "VERDICT_FORBIDDEN",
     "VERDICT_MISSING",
@@ -101,8 +92,5 @@ __all__ = [
     "compile",
     "compile_deployment",
     "compile_spec",
-    "prewarm_deployment",
-    "prewarm_shard",
-    "reachable_pairs",
     "run_gate",
 ]

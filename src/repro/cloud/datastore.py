@@ -31,7 +31,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
 from repro.audit.log import AuditLog
 from repro.audit.spine import bind_source
 from repro.errors import FlowError, KernelError
-from repro.ifc.decisions import DecisionCache, DecisionPlane
+from repro.ifc.decisions import DecisionPlane
 from repro.ifc.labels import SecurityContext
 from repro.ifc.lattice import join
 
@@ -68,16 +68,12 @@ class LabelledStore:
         name: str,
         audit: Optional[AuditLog] = None,
         clock: Optional[Callable[[], float]] = None,
-        cache: Optional[DecisionCache] = None,
     ):
         self.name = name
         # Per-table spine segment: row-level audit stages off the query
         # path when the store runs on a machine's spine.
         self.audit = bind_source(audit, f"datastore:{name}")
-        # Row scans re-check the same (row, reader) context pairs on
-        # every query; the memoizing plane makes the per-row check a
-        # dict hit.  ``cache`` shares a machine shard's memo table.
-        self.plane = DecisionPlane(audit=self.audit, cache=cache)
+        self.plane = DecisionPlane(audit=self.audit)
         self._clock = clock or (lambda: 0.0)
         self._rows: Dict[int, Row] = {}
         self._ids = itertools.count(1)

@@ -28,7 +28,7 @@ from repro.audit.log import AuditLog
 from repro.audit.records import RecordKind
 from repro.audit.spine import bind_source
 from repro.errors import FlowError, KernelError, PrivilegeError
-from repro.ifc.decisions import DecisionCache, DecisionPlane
+from repro.ifc.decisions import DecisionPlane
 from repro.ifc.labels import SecurityContext
 from repro.ifc.privileges import PrivilegeSet
 
@@ -121,20 +121,12 @@ class IFCSecurityModule(SecurityModule):
 
     name = "camflow-ifc"
 
-    def __init__(
-        self,
-        audit: Optional[AuditLog] = None,
-        cache: Optional[DecisionCache] = None,
-    ):
+    def __init__(self, audit: Optional[AuditLog] = None):
         # Audit goes through the machine's spine when one is wired
         # (staged under the "kernel" segment, hashed off the syscall
         # path); a plain AuditLog keeps synchronous semantics.
         self.audit = bind_source(audit, "kernel")
-        # LSM hooks fire once per syscall on the same few (process,
-        # object) context pairs — the memoizing plane is what keeps the
-        # F9 overhead benchmark's per-syscall cost flat.  ``cache`` lets
-        # the machine share its decision shard with the substrate.
-        self.plane = DecisionPlane(audit=self.audit, cache=cache)
+        self.plane = DecisionPlane(audit=self.audit)
 
     def _check(self, src_name: str, src: SecurityContext,
                dst_name: str, dst: SecurityContext) -> None:

@@ -6,18 +6,12 @@ external transfers, and a TPM rooting trust in the platform.  A
 :class:`Machine` assembles those pieces; the messaging substrate itself
 lives in :mod:`repro.middleware.substrate` and binds to a machine.
 
-Since the audit-spine refactor a machine also owns the two per-machine
-planes the enforcement column shares:
-
-* :attr:`audit` — an :class:`~repro.audit.spine.AuditSpine`: enforcement
-  sites stage records through per-source emitters (``kernel``,
-  ``substrate``, ...) and hashing/chaining happens off the delivery
-  path, at drain/checkpoint time (``docs/audit_plane.md``);
-* :attr:`shard` — the machine's :class:`~repro.ifc.decisions.DecisionShard`
-  behind a :class:`~repro.ifc.decisions.DecisionPlaneRouter`: kernel LSM
-  and substrate share one memoized decision cache, and multi-machine
-  deployments get one shard per machine instead of anything
-  process-global.
+Since the audit-spine refactor a machine also owns the audit plane the
+enforcement column shares: :attr:`audit` is an
+:class:`~repro.audit.spine.AuditSpine`, enforcement sites stage records
+through per-source emitters (``kernel``, ``substrate``, ...) and
+hashing/chaining happens off the delivery path, at drain/checkpoint time
+(``docs/audit_plane.md``).
 """
 
 from __future__ import annotations
@@ -35,7 +29,6 @@ from repro.cloud.kernel import (
 )
 from repro.crypto.attestation import TPM, AttestationVerifier
 from repro.errors import AttestationError
-from repro.ifc.decisions import DecisionPlaneRouter, DecisionShard
 from repro.ifc.labels import SecurityContext
 from repro.ifc.privileges import PrivilegeSet
 
@@ -85,7 +78,6 @@ class Machine:
         hostname: str,
         config: Optional[MachineConfig] = None,
         clock=None,
-        router: Optional[DecisionPlaneRouter] = None,
     ):
         self.hostname = hostname
         self.config = config or MachineConfig()
@@ -102,15 +94,9 @@ class Machine:
         self._tick_source = tick_source
         if tick_source is not None:
             self.audit.attach_clock(tick_source)
-        self.router = router if router is not None else DecisionPlaneRouter()
-        self.shard: DecisionShard = self.router.shard(hostname)
         if self.config.enforce_ifc:
-            # The module binds its own "kernel" segment (bind_source);
-            # context_cache (not cache) keeps the private-vocabulary
-            # guard on this context-form site.
-            module: SecurityModule = IFCSecurityModule(
-                self.audit, cache=self.shard.context_cache
-            )
+            # The module binds its own "kernel" segment (bind_source).
+            module: SecurityModule = IFCSecurityModule(self.audit)
         else:
             module = NullSecurityModule()
         self.kernel = Kernel(hostname, module)
@@ -138,18 +124,8 @@ class Machine:
         return self.kernel.spawn(name, security, privileges)
 
     def grant(self, pid: int, privileges: PrivilegeSet) -> None:
-        """Grant privileges to a process, invalidating the machine's
-        decision shard (the belt-and-braces bulk-change rule — see
-        ``DecisionPlaneRouter.invalidate``).
-
-        The fan-out is epoch-based: invalidation bumps the shard
-        cache's epoch, so a worker thread whose miss was in flight
-        across the grant fails the epoch check at publish time and its
-        verdict is discarded — a racing worker can never install a
-        stale decision after the grant (``docs/worker_plane.md``).
-        """
+        """Grant privileges to a process."""
         self.kernel.grant(pid, privileges)
-        self.router.invalidate(self.hostname)
 
     def attest_to(self, verifier: AttestationVerifier) -> bool:
         """Run remote attestation of this platform against a verifier."""

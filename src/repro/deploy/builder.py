@@ -166,7 +166,7 @@ class DeploymentNode:
 
         Each worker gets its own :class:`~repro.middleware.bus.
         MessageBus` bound to its own audit-spine source (``bus.w<i>``)
-        while sharing the machine's decision shard and spine — one
+        while sharing the machine's spine — one
         policy, one trail, many executors (``docs/worker_plane.md``).
         Run them on real threads with ``deploy.run(...,
         concurrency="threads")``.
@@ -457,7 +457,7 @@ class Deployment:
         self._flow_assertions: List = []
         self._analysis_counters: Dict[str, float] = {
             "compiles": 0, "gates": 0, "assertions_checked": 0,
-            "violations": 0, "queries": 0, "prewarmed_pairs": 0,
+            "violations": 0, "queries": 0,
             "wall_s": 0.0,
         }
 
@@ -800,20 +800,6 @@ class Deployment:
         counters["wall_s"] += report.wall_s
         return report
 
-    def prewarm_decisions(self, graph=None):
-        """Pre-warm every machine's decision cache from the reachable
-        pair set (:mod:`repro.analysis.prewarm`); returns the
-        :class:`~repro.analysis.prewarm.PrewarmReport`."""
-        from repro.analysis import prewarm_deployment
-
-        self.build()
-        if graph is None:
-            graph = self.analysis_graph()
-        report = prewarm_deployment(self, graph)
-        self._analysis_counters["prewarmed_pairs"] += report.pairs
-        self._analysis_counters["wall_s"] += report.wall_s
-        return report
-
     def verify(
         self,
         mode: str = "incremental",
@@ -906,15 +892,6 @@ class Deployment:
             for key in substrate:
                 substrate[key] += getattr(sub.stats, key)
 
-        decisions = {"hits": 0, "misses": 0, "lock_waits": 0}
-        for machine in machines:
-            shard_stats = machine.router.stats
-            decisions["hits"] += shard_stats.hits
-            decisions["misses"] += shard_stats.misses
-            decisions["lock_waits"] += shard_stats.lock_waits
-        total = decisions["hits"] + decisions["misses"]
-        decisions["hit_rate"] = decisions["hits"] / total if total else 0.0
-
         audit = {"records": 0, "pending": 0, "drains": 0,
                  "checkpoints": 0, "segments": 0, "ring_overflows": 0,
                  "hot_records": 0, "cold_records": 0,
@@ -999,7 +976,6 @@ class Deployment:
         return {
             "flows": flows,
             "substrate": substrate,
-            "decisions": decisions,
             "audit": audit,
             "federation": federation,
             "network": network,

@@ -89,7 +89,7 @@ class NodeSpec:
         hostname: the network hostname (defaults to ``name``); this is
             what the machine, substrate and mesh membership key on.
         machine: build a :class:`~repro.cloud.machine.Machine` (kernel +
-            TPM + audit spine + decision shard) for this node.  Off, the
+            TPM + audit spine) for this node.  Off, the
             node is bus-only (just a domain).
         machine_config: optional :class:`~repro.cloud.machine.
             MachineConfig` (enforcement, boot chain, spine cadence).
@@ -121,7 +121,7 @@ class NodeSpec:
         workers: number of bus workers (``repro.deploy.workers``) to
             build for the node — each gets its own
             :class:`~repro.middleware.bus.MessageBus` and audit-spine
-            source while sharing the machine's decision shard and spine
+            source while sharing the machine's spine
             (implies ``machine``).  0 keeps the classic single-bus node.
         spill: tiered audit storage (:class:`SpillSpec`): seal the
             machine spine's segments on a cadence and demote old ones

@@ -4,9 +4,7 @@
 share the machine's enforcement state the way CamFlow intends — one
 policy, one trail, many executors:
 
-* **shared**: the machine's :class:`~repro.ifc.decisions.DecisionShard`
-  (so every worker hits one memoized decision cache, lock-free on
-  reads) and the machine's one :class:`~repro.audit.spine.AuditSpine`
+* **shared**: the machine's one :class:`~repro.audit.spine.AuditSpine`
   (one tamper-evident chain per node, whatever the worker count);
 * **per-worker**: a :class:`~repro.middleware.bus.MessageBus` with its
   own component registry and channels, emitting audit through its own
@@ -34,7 +32,7 @@ class BusWorker:
         index: position in the pool.
         source: this worker's audit-spine source (``"bus.w<i>"``).
         bus: the worker's :class:`~repro.middleware.bus.MessageBus`,
-            sharing the machine's decision shard and audit spine.
+            sharing the machine's audit spine.
         workload: optional ``f(ctx, worker)`` body run when the
             deployment executes with ``concurrency="threads"``.
     """
@@ -68,7 +66,7 @@ class WorkerPool:
     Built by :meth:`DeploymentNode.build
     <repro.deploy.builder.DeploymentNode.build>` from
     ``spec.workers``; every worker's bus shares the node machine's
-    decision shard and audit spine but binds its own spine source.
+    audit spine but binds its own spine source.
     """
 
     def __init__(self, node_name: str, machine, clock, mode, count: int):
@@ -79,7 +77,6 @@ class WorkerPool:
                 audit=machine.audit,
                 mode=mode,
                 clock=clock,
-                shard=machine.shard,
                 audit_source=f"bus.w{index}",
             )
             self.workers.append(BusWorker(node_name, index, bus))

@@ -4,8 +4,8 @@ Public API::
 
     from repro.ifc import (
         Tag, TagRegistry, Label, SecurityContext,
-        can_flow, flow_decision, check_flow, FlowDecision,
-        DecisionPlane, DecisionCache, TagInterner,
+        can_flow, flow_decision, flow_decision_masks, check_flow,
+        FlowDecision, DecisionPlane, TagInterner,
         PrivilegeSet, PrivilegeAuthority,
         Entity, ActiveEntity, PassiveEntity,
         Gateway, Endorser, Declassifier, plan_gateway_chain,
@@ -32,6 +32,7 @@ from repro.ifc.flow import (
     can_flow,
     check_flow,
     flow_decision,
+    flow_decision_masks,
     flow_path_allowed,
 )
 from repro.ifc.interner import TagInterner, global_interner
@@ -49,13 +50,7 @@ from repro.ifc.wire import (
     control_wire_size,
     raw_table_size,
 )
-from repro.ifc.decisions import (
-    DecisionCache,
-    DecisionPlane,
-    DecisionPlaneRouter,
-    DecisionShard,
-    DecisionStats,
-)
+from repro.ifc.decisions import DecisionPlane
 from repro.ifc.privileges import (
     Delegation,
     PrivilegeAuthority,
@@ -106,11 +101,7 @@ __all__ = [
     "SecurityContext",
     "as_label",
     "FlowDecision",
-    "DecisionCache",
     "DecisionPlane",
-    "DecisionPlaneRouter",
-    "DecisionShard",
-    "DecisionStats",
     "TagInterner",
     "global_interner",
     "TagBlock",
@@ -128,6 +119,7 @@ __all__ = [
     "can_flow",
     "check_flow",
     "flow_decision",
+    "flow_decision_masks",
     "flow_path_allowed",
     "Delegation",
     "PrivilegeAuthority",

@@ -11,7 +11,8 @@ no write down" in its decentralised form) and integrity may only erode
 no entity objects, no I/O — so the identical logic backs the simulated
 kernel's LSM hooks, middleware channel establishment, and message-level
 attribute quenching.  Enforcement sites call :func:`check_flow` /
-:func:`flow_decision` and record the returned decision in their audit log.
+:func:`flow_decision` (or :func:`flow_decision_masks` on raw bitsets)
+and record the returned decision in their audit log.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.errors import FlowError
+from repro.ifc.interner import TagInterner, global_interner
 from repro.ifc.labels import Label, SecurityContext
 
 
@@ -72,24 +74,63 @@ def can_flow(source: SecurityContext, target: SecurityContext) -> bool:
     )
 
 
-def flow_decision(source: SecurityContext, target: SecurityContext) -> FlowDecision:
-    """Evaluate the flow rule and explain the outcome.
+def flow_decision_masks(
+    src_secrecy: int,
+    src_integrity: int,
+    dst_secrecy: int,
+    dst_integrity: int,
+    interner: Optional[TagInterner] = None,
+) -> FlowDecision:
+    """The flow rule over raw label bitsets, explaining any denial.
+
+    This is the one implementation every enforcement point runs:
+    :func:`flow_decision` and :class:`~repro.ifc.decisions.DecisionPlane`
+    pass their contexts' masks, and a cross-vocabulary caller first
+    remaps the foreign masks through a
+    :class:`~repro.ifc.wire.MaskTranslator`.  ``interner`` names the
+    vocabulary the masks are numbered in, so denial labels name the real
+    tags; it defaults to the process-global one.
 
     Both halves of the conjunction are always evaluated — the paper's
     Fig. 4 caption notes Zeb's flow to Ann's analyser fails *both* the
     secrecy and the integrity check, and audit logs should say so.
     """
-    secrecy_ok = not (source.secrecy._mask & ~target.secrecy._mask)
-    integrity_ok = not (target.integrity._mask & ~source.integrity._mask)
-    if secrecy_ok and integrity_ok:
+    missing_s = src_secrecy & ~dst_secrecy
+    missing_i = dst_integrity & ~src_integrity
+    if not missing_s and not missing_i:
         return _ALLOWED
-    missing_s = (
-        Label.empty() if secrecy_ok else source.secrecy - target.secrecy
+    return FlowDecision(
+        False,
+        not missing_s,
+        not missing_i,
+        _label_in(interner, missing_s),
+        _label_in(interner, missing_i),
     )
-    missing_i = (
-        Label.empty() if integrity_ok else target.integrity - source.integrity
+
+
+def _label_in(interner: Optional[TagInterner], mask: int) -> Label:
+    """A :class:`Label` naming ``mask``'s tags in ``interner``'s vocabulary.
+
+    For the process-global interner the mask is wrapped directly; for a
+    private interner the tags are named and re-interned so the label
+    renders correctly in diagnostics regardless of numbering.
+    """
+    if not mask:
+        return Label.empty()
+    if interner is None or interner is global_interner():
+        return Label.from_mask(mask)
+    return Label(t.qualified for t in interner.tags_of(mask))
+
+
+def flow_decision(source: SecurityContext, target: SecurityContext) -> FlowDecision:
+    """Evaluate the flow rule on two contexts and explain the outcome
+    (:func:`flow_decision_masks` on their labels' bitsets)."""
+    return flow_decision_masks(
+        source.secrecy._mask,
+        source.integrity._mask,
+        target.secrecy._mask,
+        target.integrity._mask,
     )
-    return FlowDecision(False, secrecy_ok, integrity_ok, missing_s, missing_i)
 
 
 # The allowed decision carries no context-specific detail, so the common

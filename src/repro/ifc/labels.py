@@ -14,8 +14,7 @@ the whole algebra the flow rule needs — become integer ops, while the
 the original frozenset semantics byte-for-byte.  ``SecurityContext``
 remains an immutable value object so that context changes are explicit,
 auditable events (an entity *replaces* its context, it never mutates it
-in place — this is what makes declassification visible to the audit log,
-and what lets the decision plane memoize flow decisions by label value).
+in place — this is what makes declassification visible to the audit log).
 """
 
 from __future__ import annotations
@@ -222,10 +221,7 @@ class SecurityContext:
     labels, S and I" (§6).  Contexts are immutable; label changes produce
     a *new* context, which enforcement points observe and re-evaluate
     (§8.2.2: "an entity changing its security context triggers
-    re-evaluation").  Immutability is also what makes the decision
-    plane's memoisation sound: a declassified entity carries a *new*
-    context value, so the cached decision for the old value can never be
-    served for the new one.
+    re-evaluation").
 
     >>> ctx = SecurityContext.of(secrecy=["medical", "ann"],
     ...                          integrity=["hosp-dev", "consent"])

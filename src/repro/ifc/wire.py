@@ -271,12 +271,15 @@ class MaskTranslator:
     unboundedly (bounded in practice by the number of distinct labels a
     peer ever sends).
 
-    Thread safety: concurrent workers on one machine decode through the
-    same translator (``DecisionPlaneRouter.evaluate_inbound``), so the
-    interner's own lock is extended to cover the translator's position
-    table and decode memos — extensions and memo misses serialise
-    against interning, while memo *hits* stay lock-free (dict gets on
-    maps that only ever gain entries).
+    Cross-vocabulary flow decisions remap the foreign masks here and
+    then run :func:`~repro.ifc.flow.flow_decision_masks` in the local
+    numbering (passing the local interner), so denial labels
+    name the real tags.
+
+    Thread safety: the interner's own lock is extended to cover the
+    translator's position table and decode memos — extensions and memo
+    misses serialise against interning, while memo *hits* stay
+    lock-free (dict gets on maps that only ever gain entries).
     """
 
     __slots__ = (
@@ -329,7 +332,7 @@ class MaskTranslator:
         Only valid when the translator's interner is the process-global
         one backing :class:`~repro.ifc.labels.Label` (the substrate
         path); the memo returns the *same* context object for a repeated
-        pair, which keeps the decision plane's value-keyed cache hot.
+        pair, so the receive path decodes each distinct pair once.
         """
         key = (secrecy_mask, integrity_mask)
         ctx = self._context_memo.get(key)

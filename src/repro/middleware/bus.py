@@ -18,7 +18,7 @@ from repro.audit.log import AuditLog
 from repro.audit.records import RecordKind
 from repro.audit.spine import bind_source
 from repro.errors import AccessDenied, DiscoveryError, FlowError, SchemaError
-from repro.ifc.decisions import DecisionPlane, DecisionShard
+from repro.ifc.decisions import DecisionPlane
 from repro.ifc.flow import FlowDecision
 from repro.middleware.channel import Channel
 from repro.middleware.component import Component, Endpoint, EndpointKind
@@ -96,7 +96,6 @@ class MessageBus:
         mode: EnforcementMode = EnforcementMode.AC_AND_IFC,
         authoriser: ConnectAuthoriser = default_authoriser,
         clock: Optional[Callable[[], float]] = None,
-        shard: Optional[DecisionShard] = None,
         audit_source: str = "bus",
     ):
         # Given an AuditSpine (or an emitter onto one), deliveries stage
@@ -129,13 +128,8 @@ class MessageBus:
         # its new channel serve the rest of the batch).
         self._channels_version = 0
         #: The bus-wide decision plane: every IFC evaluation this bus (and
-        #: its channels) performs is memoized and audited through here.
-        #: ``shard`` shares a machine's decision shard across bus workers
-        #: (see DecisionPlaneRouter); by default the bus gets its own cache.
-        self.plane = DecisionPlane(
-            audit=self.audit,
-            cache=shard.context_cache if shard is not None else None,
-        )
+        #: its channels) performs is evaluated and audited through here.
+        self.plane = DecisionPlane(audit=self.audit)
 
     # -- registry -----------------------------------------------------------------
 
@@ -314,9 +308,8 @@ class MessageBus:
         self, source: Component, endpoint_name: str, batch: List[Dict]
     ) -> DeliveryReport:
         """Publish many messages from one endpoint, amortising the per-
-        message costs: flow decisions for repeated (message, sink)
-        context pairs hit the decision cache, and audit appends are
-        chain-hashed in one chunk at the end (see ``AuditLog.flush``).
+        message costs: audit appends are chain-hashed in one chunk at
+        the end (see ``AuditLog.flush``).
 
         Beyond audit batching, the per-message fixed costs are hoisted
         into a :class:`_BatchPlan` built once per (sender, sink-set):

@@ -208,12 +208,7 @@ class MessagingSubstrate:
         # Audit stages into the machine spine's "substrate" segment —
         # nothing on the send/receive path chains digests synchronously.
         self.audit = bind_source(machine.audit, "substrate")
-        # The machine's decision shard is shared with the kernel LSM:
-        # one memo table per machine, not one per enforcement site
-        # (context_cache keeps the private-vocabulary guard).
-        self.plane = DecisionPlane(
-            audit=self.audit, cache=machine.shard.context_cache
-        )
+        self.plane = DecisionPlane(audit=self.audit)
         self.stats = SubstrateStats()
         self.wire = WireCodec()
         self._local: Dict[str, Tuple[Process, SubstrateHandler]] = {}
@@ -363,7 +358,7 @@ class MessagingSubstrate:
         evaluate = self.plane.evaluate
         # decision per message-context, by identity (contexts are shared
         # objects on the hot path; an unshared equal context just costs
-        # one extra memoized evaluate).
+        # one extra evaluate).
         decisions: Dict[int, object] = {}
         # (peer_host, id(ctx), id(type)) → (masks-or-None, ctx, type):
         # the hoisted envelope header; plus the rows accumulating on it.

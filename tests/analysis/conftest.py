@@ -2,7 +2,7 @@
 
 ``hospital()`` is the canonical Fig. 6 shape: a medical sensor whose
 readings only reach the public dashboard through the anonymising
-declassifier.  The gate, prewarm and query tests all interrogate the
+declassifier.  The gate and query tests all interrogate the
 same deployment so their expectations stay mutually consistent.
 """
 

@@ -176,7 +176,7 @@ class TestDeploymentWiring:
     def test_stats_rollup_mirrors_the_verify_plane(self, hospital):
         assert hospital.stats()["analysis"] == {
             "compiles": 0, "gates": 0, "assertions_checked": 0,
-            "violations": 0, "queries": 0, "prewarmed_pairs": 0,
+            "violations": 0, "queries": 0,
             "wall_s": 0.0,
         }
         hospital.with_flow_assertions([

@@ -356,7 +356,7 @@ class TestEnforcementColumnWiring:
         assert RecordKind.FLOW_ALLOWED in kinds
         assert RecordKind.CHANNEL_TORN_DOWN in kinds
 
-    def test_substrate_and_kernel_share_machine_shard(self):
+    def test_substrate_and_kernel_share_machine_spine(self):
         from repro.cloud.machine import Machine
         from repro.middleware.substrate import MessagingSubstrate
         from repro.net.network import Network
@@ -365,8 +365,8 @@ class TestEnforcementColumnWiring:
         network = Network(sim)
         machine = Machine("host", clock=sim.clock)
         substrate = MessagingSubstrate(machine, network)
-        assert substrate.plane.cache is machine.shard.cache
-        assert machine.kernel.security.plane.cache is machine.shard.cache
+        assert substrate.audit.spine is machine.audit
+        assert machine.kernel.security.audit.spine is machine.audit
         assert substrate.audit.source == "substrate"
 
     def test_datastore_and_pep_claim_their_segments(self):

@@ -232,7 +232,7 @@ class TestFederatedDeployment:
             len(s) for s in deploy.spines().values()
         )
         assert set(rollup) == {
-            "flows", "substrate", "decisions", "audit", "federation",
+            "flows", "substrate", "audit", "federation",
             "network", "transport", "workers", "verify", "analysis",
         }
         # No with_workers() in this deployment: the rollup says so.

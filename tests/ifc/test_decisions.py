@@ -1,8 +1,8 @@
-"""The decision plane: memoization, counters, and invalidation-by-value.
+"""The decision plane: direct evaluation and label changes.
 
 The critical property: a declassification or endorsement must change the
-decision *immediately* — the memo table may never serve a stale grant
-(or a stale denial) across a label change.
+decision *immediately* — no stale grant (or stale denial) may outlive a
+label change.
 """
 
 import random
@@ -11,7 +11,6 @@ import pytest
 
 from repro.errors import FlowError
 from repro.ifc import (
-    DecisionCache,
     DecisionPlane,
     Label,
     SecurityContext,
@@ -20,30 +19,17 @@ from repro.ifc import (
 from repro.ifc.tags import as_tags
 
 
-class TestDecisionCache:
-    def test_hit_miss_counters(self):
-        plane = DecisionPlane()
-        a = SecurityContext.of(["s1"], ["i1"])
-        b = SecurityContext.of(["s1", "s2"], [])
-        assert plane.evaluate(a, b).allowed
-        assert (plane.hits, plane.misses) == (0, 1)
-        for __ in range(5):
-            plane.evaluate(a, b)
-        assert (plane.hits, plane.misses) == (5, 1)
-        assert plane.stats.hit_rate == pytest.approx(5 / 6)
-
-    def test_cached_decision_matches_direct_evaluation(self):
+class TestDecisionPlane:
+    def test_plane_decision_matches_direct_evaluation(self):
         plane = DecisionPlane()
         a = SecurityContext.of(["s"], ["i1", "i2"])
         b = SecurityContext.of([], ["i1"])
         direct = flow_decision(a, b)
-        cached = plane.evaluate(a, b)
-        again = plane.evaluate(a, b)
-        assert cached.allowed == direct.allowed
-        assert cached.secrecy_ok == direct.secrecy_ok
-        assert cached.integrity_ok == direct.integrity_ok
-        assert cached.missing_secrecy == direct.missing_secrecy
-        assert again is cached  # memoized object, not a re-evaluation
+        via_plane = plane.evaluate(a, b)
+        assert via_plane.allowed == direct.allowed
+        assert via_plane.secrecy_ok == direct.secrecy_ok
+        assert via_plane.integrity_ok == direct.integrity_ok
+        assert via_plane.missing_secrecy == direct.missing_secrecy
 
     def test_direction_matters(self):
         plane = DecisionPlane()
@@ -52,36 +38,13 @@ class TestDecisionCache:
         assert plane.evaluate(low, high).allowed
         assert not plane.evaluate(high, low).allowed
 
-    def test_bounded_table_clears_and_counts_eviction(self):
-        cache = DecisionCache(max_entries=4)
-        plane = DecisionPlane(cache=cache)
-        for i in range(8):
-            plane.evaluate(
-                SecurityContext.of([f"s{i}"], []),
-                SecurityContext.of([f"s{i}", "x"], []),
-            )
-        assert len(cache) <= 4
-        assert cache.stats.evictions >= 1
-
-    def test_check_raises_on_denial_and_is_cached(self):
+    def test_check_raises_on_denial_with_reason(self):
         plane = DecisionPlane()
         high = SecurityContext.of(["secret"], [])
         low = SecurityContext.of([], [])
-        with pytest.raises(FlowError):
+        with pytest.raises(FlowError) as raised:
             plane.check(high, low, "producer", "sink")
-        with pytest.raises(FlowError):
-            plane.check(high, low, "producer", "sink")
-        assert plane.hits == 1
-
-    def test_invalidate_clears_but_keeps_counters(self):
-        plane = DecisionPlane()
-        a, b = SecurityContext.public(), SecurityContext.public()
-        plane.evaluate(a, b)
-        plane.evaluate(a, b)
-        plane.invalidate()
-        plane.evaluate(a, b)
-        assert plane.misses == 2
-        assert plane.hits == 1
+        assert raised.value.reason == flow_decision(high, low).reason
 
 
 class TestInvalidationOnLabelChange:
@@ -96,12 +59,12 @@ class TestInvalidationOnLabelChange:
         assert plane.evaluate(declassified, sink).allowed
 
     def test_reclassification_blocks_flow_immediately(self):
-        """The dangerous direction: a cached grant must not outlive a
+        """The dangerous direction: an earlier grant must not outlive a
         label change that makes the flow illegal."""
         plane = DecisionPlane()
         source = SecurityContext.of([], [])
         sink = SecurityContext.of([], [])
-        for __ in range(10):  # warm the cache with grants
+        for __ in range(10):
             assert plane.evaluate(source, sink).allowed
         raised = source.add_secrecy("medical")
         assert not plane.evaluate(raised, sink).allowed
@@ -117,14 +80,13 @@ class TestInvalidationOnLabelChange:
         dropped = endorsed.remove_integrity("endorsed")
         assert not plane.evaluate(dropped, sink).allowed
 
-    def test_distinct_contexts_with_equal_labels_share_entries(self):
+    def test_distinct_contexts_with_equal_labels_decide_alike(self):
         plane = DecisionPlane()
         a1 = SecurityContext.of(["s"], ["i"])
         a2 = SecurityContext.of(["s"], ["i"])  # equal value, new object
         b = SecurityContext.of(["s"], [])
-        plane.evaluate(a1, b)
-        plane.evaluate(a2, b)
-        assert (plane.hits, plane.misses) == (1, 1)
+        assert plane.evaluate(a1, b) is plane.evaluate(a2, b)
+        assert plane.evaluate(b, a1) == plane.evaluate(b, a2)
 
 
 class TestBitsetLabelMatchesFrozensetSemantics:

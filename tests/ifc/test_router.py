@@ -1,80 +1,41 @@
-"""The sharded decision plane: per-machine shards, cross-shard mask
-translation through the wire vocabulary, and invalidation parity with an
-unsharded plane (see docs/decision_plane.md)."""
-
-import pytest
+"""Cross-vocabulary flow decisions: masks numbered by another interner
+are remapped through the wire vocabulary (:class:`MaskTranslator`) and
+judged by the one mask-level rule (see docs/decision_plane.md)."""
 
 from repro.ifc import (
-    DecisionPlane,
-    DecisionPlaneRouter,
-    DecisionShard,
+    MaskTranslator,
     SecurityContext,
     TagInterner,
     flow_decision,
+    flow_decision_masks,
 )
 
 LOW = SecurityContext.of(["medical"], [])
 HIGH = SecurityContext.of(["medical", "ann"], [])
 
 
-class TestDecisionShard:
-    def test_sites_share_one_memo_table(self):
-        shard = DecisionShard("host-a")
-        kernel_plane = shard.plane()
-        substrate_plane = shard.plane()
-        kernel_plane.evaluate(LOW, HIGH)
-        substrate_plane.evaluate(LOW, HIGH)
-        assert shard.cache.misses == 1
-        assert shard.cache.hits == 1
+def _masks(src, dst):
+    return (
+        src.secrecy.mask, src.integrity.mask,
+        dst.secrecy.mask, dst.integrity.mask,
+    )
 
-    def test_mask_and_context_forms_share_keys(self):
-        shard = DecisionShard("host-a")
-        shard.evaluate(LOW, HIGH)
-        decision = shard.evaluate_masks(
-            LOW.secrecy.mask, LOW.integrity.mask,
-            HIGH.secrecy.mask, HIGH.integrity.mask,
-        )
-        assert decision.allowed
-        assert shard.cache.hits == 1  # the mask form hit the context entry
 
+class TestMaskRule:
     def test_mask_evaluation_matches_flow_decision(self):
-        shard = DecisionShard("host-a")
         for src, dst in [(LOW, HIGH), (HIGH, LOW)]:
             direct = flow_decision(src, dst)
-            via_masks = shard.evaluate_masks(
-                src.secrecy.mask, src.integrity.mask,
-                dst.secrecy.mask, dst.integrity.mask,
-            )
+            via_masks = flow_decision_masks(*_masks(src, dst))
             assert via_masks.allowed == direct.allowed
             assert via_masks.secrecy_ok == direct.secrecy_ok
             assert via_masks.integrity_ok == direct.integrity_ok
             assert via_masks.missing_secrecy == direct.missing_secrecy
             assert via_masks.missing_integrity == direct.missing_integrity
 
-
-class TestRouterSharding:
-    def test_one_shard_per_machine(self):
-        router = DecisionPlaneRouter()
-        a = router.shard("host-a")
-        b = router.shard("host-b")
-        assert a is router.shard("host-a")
-        assert a is not b
-        assert len(router) == 2
-        assert "host-a" in router
-
-    def test_shards_are_isolated(self):
-        router = DecisionPlaneRouter()
-        router.shard("host-a").evaluate(LOW, HIGH)
-        assert router.shard("host-b").cache.misses == 0
-        assert router.stats.misses == 1
-
-    def test_invalidate_one_shard_leaves_others_warm(self):
-        router = DecisionPlaneRouter()
-        router.shard("host-a").evaluate(LOW, HIGH)
-        router.shard("host-b").evaluate(LOW, HIGH)
-        router.invalidate("host-a")
-        assert len(router.shard("host-a").cache) == 0
-        assert len(router.shard("host-b").cache) == 1
+    def test_identity_consistent_allow_across_forms(self):
+        by_context = flow_decision(LOW, HIGH)
+        by_masks = flow_decision_masks(*_masks(LOW, HIGH))
+        assert by_masks is by_context  # one shared allowed singleton
 
 
 class TestCrossShardTranslation:
@@ -83,133 +44,68 @@ class TestCrossShardTranslation:
     through a process-global interner."""
 
     def _two_workers(self):
-        router = DecisionPlaneRouter()
         ia, ib = TagInterner(), TagInterner()
         # Divergent numbering: each worker interns in a different order.
         ib.mask_of(["zeb", "medical", "ann"])
         ia.mask_of(["medical", "ann", "zeb"])
-        a = router.shard("worker-a", interner=ia)
-        b = router.shard("worker-b", interner=ib)
-        return router, a, b
+        return ia, ib
+
+    @staticmethod
+    def _inbound(local, peer, translator, src_masks, dst_masks):
+        """``src_masks`` in the peer's numbering, ``dst_masks`` in the
+        local one: sync the translator, remap, then apply the rule."""
+        if len(peer) > translator.version:
+            translator.extend(peer.export_table(start=translator.version))
+        return flow_decision_masks(
+            translator.to_local_mask(src_masks[0]),
+            translator.to_local_mask(src_masks[1]),
+            dst_masks[0],
+            dst_masks[1],
+            interner=local,
+        )
 
     def test_inbound_decision_matches_direct_rule(self):
-        router, a, b = self._two_workers()
+        a, b = self._two_workers()
+        translator = MaskTranslator(a)
         # b ships {medical} secrecy to a target a holds as {medical,ann}.
-        src = (b.interner.mask_of(["medical"]), 0)
-        dst = (a.interner.mask_of(["medical", "ann"]), 0)
-        assert router.evaluate_inbound("worker-a", "worker-b", src, dst).allowed
+        src = (b.mask_of(["medical"]), 0)
+        dst = (a.mask_of(["medical", "ann"]), 0)
+        assert self._inbound(a, b, translator, src, dst).allowed
         # And the denied direction explains itself with real tag names.
-        src = (b.interner.mask_of(["medical", "zeb"]), 0)
-        decision = router.evaluate_inbound("worker-a", "worker-b", src, dst)
+        src = (b.mask_of(["medical", "zeb"]), 0)
+        decision = self._inbound(a, b, translator, src, dst)
         assert not decision.allowed
         assert "zeb" in decision.reason
+        assert "medical" not in decision.reason
 
     def test_same_bits_different_meaning_never_confused(self):
-        router, a, b = self._two_workers()
+        a, b = self._two_workers()
         # Bit 0 means "zeb" to worker-b but "medical" to worker-a: a raw
         # mask hand-off would silently relabel; the translator must not.
-        wire = b.interner.mask_of(["zeb"])
-        assert wire == a.interner.mask_of(["medical"])  # the trap
-        dst = (a.interner.mask_of(["medical"]), 0)
-        decision = router.evaluate_inbound(
-            "worker-a", "worker-b", (wire, 0), dst
-        )
+        wire = b.mask_of(["zeb"])
+        assert wire == a.mask_of(["medical"])  # the trap
+        dst = (a.mask_of(["medical"]), 0)
+        decision = self._inbound(a, b, MaskTranslator(a), (wire, 0), dst)
         assert not decision.allowed  # zeb ⊄ {medical}
+        assert str(decision.missing_secrecy) == "{local:zeb}"
 
     def test_translator_follows_interner_growth(self):
-        router, a, b = self._two_workers()
-        dst = (a.interner.mask_of(["medical"]), 0)
-        router.evaluate_inbound("worker-a", "worker-b", (0, 0), dst)
-        late = b.interner.mask_of(["brand-new-tag"])
-        decision = router.evaluate_inbound(
-            "worker-a", "worker-b", (late, 0), dst
-        )
+        a, b = self._two_workers()
+        translator = MaskTranslator(a)
+        dst = (a.mask_of(["medical"]), 0)
+        self._inbound(a, b, translator, (0, 0), dst)
+        late = b.mask_of(["brand-new-tag"])
+        decision = self._inbound(a, b, translator, (late, 0), dst)
         assert not decision.allowed
         assert "brand-new-tag" in decision.reason
 
-    def test_private_vocabulary_shards_refuse_context_evaluation(self):
-        """Context masks are global-interner-numbered; caching them in a
-        private-vocabulary shard could collide two different tag sets
-        onto one memo entry.  Such shards are mask-level only."""
-        shard = DecisionShard("worker", interner=TagInterner())
-        with pytest.raises(ValueError):
-            shard.evaluate(LOW, HIGH)
-        with pytest.raises(ValueError):
-            shard.plane()
-        with pytest.raises(ValueError):
-            shard.context_cache  # the raw-cache route is guarded too
-
-    def test_one_cache_refuses_a_second_vocabulary(self):
-        """A cache is pinned to the first numbering it serves: masks
-        from a different interner could collide keys and serve denial
-        labels from the wrong vocabulary."""
-        vocab = TagInterner()
-        secret = vocab.mask_of(["alice-secret"])
-        shard = DecisionShard("worker", interner=vocab)
-        shard.evaluate_masks(secret, 0, 0, 0)
-        other = TagInterner()
-        other.mask_of(["medical"])  # same bit, different meaning
-        with pytest.raises(ValueError):
-            shard.cache.evaluate_masks(secret, 0, 0, 0, interner=other)
-
-    def test_identity_consistent_allow_across_forms(self):
-        shard = DecisionShard("host-a")
-        by_context = shard.evaluate(LOW, HIGH)
-        shard.invalidate()
-        by_masks = shard.evaluate_masks(
-            LOW.secrecy.mask, LOW.integrity.mask,
-            HIGH.secrecy.mask, HIGH.integrity.mask,
-        )
-        assert by_masks is by_context  # one shared allowed singleton
-
-    def test_repeated_inbound_pairs_hit_the_local_cache(self):
-        router, a, b = self._two_workers()
-        src = (b.interner.mask_of(["medical"]), 0)
-        dst = (a.interner.mask_of(["medical", "ann"]), 0)
-        for __ in range(5):
-            router.evaluate_inbound("worker-a", "worker-b", src, dst)
-        assert a.cache.misses == 1
-        assert a.cache.hits == 4
-
-
-class TestInvalidationParity:
-    """Sharded invalidation on a privilege change answers exactly as an
-    unsharded plane: fan-out + re-evaluation never changes a decision,
-    and no shard can serve anything stale."""
-
-    def test_sharded_matches_unsharded_after_privilege_change(self):
-        pairs = [(LOW, HIGH), (HIGH, LOW), (LOW, LOW), (HIGH, HIGH)]
-        router = DecisionPlaneRouter()
-        shards = [router.shard(f"worker-{i}") for i in range(3)]
-        unsharded = DecisionPlane()
-
-        before_sharded = [
-            [s.evaluate(src, dst).allowed for src, dst in pairs] for s in shards
-        ]
-        before_unsharded = [unsharded.evaluate(src, dst).allowed for src, dst in pairs]
-        assert all(b == before_unsharded for b in before_sharded)
-
-        # A privilege grant/revocation fans out invalidation everywhere.
-        router.invalidate()
-        unsharded.invalidate()
-        assert all(len(s.cache) == 0 for s in shards)
-
-        after_sharded = [
-            [s.evaluate(src, dst).allowed for src, dst in pairs] for s in shards
-        ]
-        after_unsharded = [unsharded.evaluate(src, dst).allowed for src, dst in pairs]
-        assert all(a == after_unsharded for a in after_sharded)
-        assert after_unsharded == before_unsharded
-        # Every shard genuinely re-evaluated (no stale entries served).
-        assert all(s.cache.misses == 2 * len(pairs) for s in shards)
-
-    def test_machine_grant_invalidates_its_shard(self):
-        from repro.cloud.machine import Machine
-        from repro.ifc import PrivilegeSet
-
-        machine = Machine("host")
-        proc = machine.launch("app", LOW)
-        machine.kernel.security.plane.evaluate(LOW, HIGH)
-        assert len(machine.shard.cache) == 1
-        machine.grant(proc.pid, PrivilegeSet.none())
-        assert len(machine.shard.cache) == 0
+    def test_denial_reasons_name_the_real_tags(self):
+        """Integrity denials too: the missing label is rendered from the
+        local vocabulary the masks are numbered in, not from whatever
+        the same bits mean to the process-global interner."""
+        a, b = self._two_workers()
+        dst = (0, a.mask_of(["ann"]))
+        src = (0, b.mask_of(["zeb"]))
+        decision = self._inbound(a, b, MaskTranslator(a), src, dst)
+        assert decision.secrecy_ok and not decision.integrity_ok
+        assert decision.reason == "source integrity label missing {local:ann}"

@@ -172,7 +172,7 @@ class TestTranslatorAndTable:
             Label.from_foreign_mask(0b100, local_bits)
 
     def test_repeated_context_pair_decodes_to_same_object(self):
-        # Object-identity on repeats keeps the decision cache hot.
+        # A repeated pair is decoded once and shared.
         tr = MaskTranslator(global_interner())
         tr.extend(["wire:s1", "wire:s2", "wire:i1"])
         ctx1 = tr.to_local_context(0b011, 0b100)
