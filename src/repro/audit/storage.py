@@ -55,6 +55,7 @@ import os
 import re
 import struct
 import time
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 from pathlib import Path
@@ -327,37 +328,56 @@ class SegmentIndex:
     def over(cls, records: List[AuditRecord]) -> "SegmentIndex":
         """Build the index over a sealed segment's records.
 
-        One comprehension pass per set, plus one loop for the posting
-        lists (this runs at seal time for every record that ever goes
-        cold).
+        Runs at seal time for every record that ever goes cold: the
+        posting lists take one loop, and the contexts, kinds and
+        time/seq bounds share a second.  (Folding the postings into
+        that loop too measured slower than reusing the tail's posting
+        loop.)
         """
-        # Enforcement reuses a handful of context objects across a whole
-        # segment: dedupe by identity before walking tags (the walk
-        # itself is memoised per context in record_tags' helper).
-        contexts: Dict[int, object] = {
-            id(r.source_context): r.source_context
-            for r in records if r.source_context is not None
-        }
-        contexts.update(
-            (id(r.target_context), r.target_context)
-            for r in records if r.target_context is not None
-        )
-        tags: Set[str] = set()
-        for ctx in contexts.values():
-            tags |= _context_tags(ctx)
         by_actor: Dict[str, List[int]] = {}
         by_subject: Dict[str, List[int]] = {}
         _extend_postings(by_actor, by_subject, records, 0)
+        # Enforcement reuses a handful of context objects across a whole
+        # segment: dedupe by identity before walking tags (the walk
+        # itself is memoised per context in record_tags' helper).
+        contexts: Dict[int, object] = {}
+        kinds = set()
+        first = records[0]
+        time_min = time_max = first.timestamp
+        seq_min = seq_max = first.seq
+        for r in records:
+            ctx = r.source_context
+            if ctx is not None:
+                contexts[id(ctx)] = ctx
+            ctx = r.target_context
+            if ctx is not None:
+                contexts[id(ctx)] = ctx
+            kinds.add(r.kind)
+            # The same comparisons builtin min() and max() make, so a
+            # NaN or a tie resolves as it would there.
+            t = r.timestamp
+            if t < time_min:
+                time_min = t
+            if t > time_max:
+                time_max = t
+            s = r.seq
+            if s < seq_min:
+                seq_min = s
+            if s > seq_max:
+                seq_max = s
+        tags: Set[str] = set()
+        for ctx in contexts.values():
+            tags |= _context_tags(ctx)
         return cls(
-            time_min=min(r.timestamp for r in records),
-            time_max=max(r.timestamp for r in records),
-            seq_min=min(r.seq for r in records),
-            seq_max=max(r.seq for r in records),
+            time_min=time_min,
+            time_max=time_max,
+            seq_min=seq_min,
+            seq_max=seq_max,
             actors=by_actor.keys(),
             # The empty subject is a posting like any other (a
             # ``subject=""`` query must find it); the header leaves it out.
             subjects=by_subject.keys(),
-            kinds={r.kind.value for r in records},
+            kinds={kind.value for kind in kinds},
             tags=tags,
             by_actor=by_actor,
             by_subject=by_subject,
@@ -465,9 +485,7 @@ def write_spill(
     digests verbatim, never re-serialised.
     """
     encoded = [c.encode() for c, __ in entries]
-    stride = _align16(
-        _LEN.size + _DIGEST_BYTES + max(len(e) for e in encoded)
-    )
+    stride = _align16(_LEN.size + _DIGEST_BYTES + max(map(len, encoded)))
     header = json.dumps(
         {
             "version": SPILL_VERSION,
@@ -482,24 +500,25 @@ def write_spill(
         sort_keys=True,
         separators=(",", ":"),
     ).encode()
-    data_start = _align16(len(SPILL_MAGIC) + _LEN.size + len(header))
-    buf = bytearray(data_start + stride * len(entries))
-    buf[: len(SPILL_MAGIC)] = SPILL_MAGIC
-    pos = len(SPILL_MAGIC)
-    buf[pos:pos + _LEN.size] = _LEN.pack(len(header))
-    pos += _LEN.size
-    buf[pos:pos + len(header)] = header
-    for i, ((__, digest), canonical) in enumerate(zip(entries, encoded)):
-        slot = data_start + i * stride
-        buf[slot:slot + _LEN.size] = _LEN.pack(len(canonical))
-        slot += _LEN.size
-        buf[slot:slot + _DIGEST_BYTES] = digest.encode()
-        slot += _DIGEST_BYTES
-        buf[slot:slot + len(canonical)] = canonical
+    lead = len(SPILL_MAGIC) + _LEN.size + len(header)
+    # The image is one join of per-slot parts; every slot is padded
+    # to the stride from one run of zeros.
+    zeros = bytes(stride - _LEN.size - _DIGEST_BYTES)
+    parts = [
+        SPILL_MAGIC, _LEN.pack(len(header)), header,
+        bytes(_align16(lead) - lead),
+    ]
+    append = parts.append
+    for (__, digest), canonical in zip(entries, encoded):
+        append(_LEN.pack(len(canonical)))
+        append(digest.encode())
+        append(canonical)
+        append(zeros[len(canonical):])
+    image = b"".join(parts)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(bytes(buf))
+    tmp.write_bytes(image)
     os.replace(tmp, path)
-    return len(buf), hashlib.sha256(header).hexdigest()
+    return len(image), hashlib.sha256(header).hexdigest()
 
 
 def read_spill_header_bytes(path: Path) -> bytes:
@@ -1052,8 +1071,10 @@ class SegmentStore:
     ) -> None:
         """Enable the tier lifecycle (idempotent reconfiguration).
 
-        ``path`` is created if missing.  Takes effect from the next
-        seal check — an oversized existing tail seals on the next drain.
+        ``path`` is created if missing.  Sealed segments beyond the new
+        ``hot_segments`` are demoted now; a new ``seal_every`` takes
+        effect from the next seal check — an oversized existing tail
+        seals on the next drain.
         """
         if seal_every < 1:
             raise ValueError(f"seal_every must be >= 1, got {seal_every}")
@@ -1067,6 +1088,8 @@ class SegmentStore:
         for tail in self.tails.values():
             if tail.canonicals is None:
                 tail.canonicals = [r.canonical() for r in tail.records]
+        for source in self.sealed:
+            self._demote_excess(source)
 
     # -- structure ---------------------------------------------------------
 
@@ -1092,10 +1115,17 @@ class SegmentStore:
     # -- seal / demote lifecycle -------------------------------------------
 
     def maybe_seal(self, source: str) -> None:
-        """Seal full tail chunks and demote beyond the hot retention."""
+        """Seal full tail chunks and demote beyond the hot retention.
+
+        Only a seal adds a hot segment, so a drain that seals nothing
+        skips the demote pass (:meth:`configure_spill` runs it for a
+        lowered retention).
+        """
         if self.seal_every is None:
             return
         tail = self.tails[source]
+        if len(tail.records) < self.seal_every:
+            return
         while len(tail.records) >= self.seal_every:
             self.seal_prefix(source, self.seal_every)
         self._demote_excess(source)
@@ -1174,13 +1204,16 @@ class SegmentStore:
         return self.tails[source].total
 
     def digest_at(self, source: str, position: int) -> Optional[str]:
-        """Chain digest at absolute ``position`` across every tier."""
-        for chunk in self._chunks(source):
-            if position <= chunk_total(chunk):
-                digest = chunk.digest_at(position)
-                if digest is not None:
-                    return digest
-        return None
+        """Chain digest at absolute ``position`` across every tier.
+
+        Chunks are contiguous and ascending, so the one to ask is the
+        first whose head position reaches ``position`` (found by
+        bisection); it answers None for a pruned position.
+        """
+        sealed = self.sealed.get(source, ())
+        i = bisect_left(sealed, position, key=chunk_total)
+        chunk = sealed[i] if i < len(sealed) else self.tails[source]
+        return chunk.digest_at(position)
 
     def retained(self, source: str) -> int:
         """Retained (un-pruned) record count for one source."""

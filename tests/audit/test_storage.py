@@ -75,6 +75,37 @@ class TestSealLifecycle:
             assert spine._store.digest_at("bus", pos) == \
                 plain._store.digest_at("bus", pos)
 
+    def test_digest_at_matches_a_walk_over_every_chunk(self, tmp_path):
+        sim, spine = make_spine()
+        spine.configure_spill(tmp_path, hot_segments=1, seal_every=5)
+        fill(sim, spine, 23)
+        store = spine._store
+
+        def walked(position):
+            for chunk in store._chunks("bus"):
+                if position <= chunk.total:
+                    digest = chunk.digest_at(position)
+                    if digest is not None:
+                        return digest
+            return None
+
+        def check():
+            answers = [
+                store.digest_at("bus", p) for p in range(store.total("bus") + 3)
+            ]
+            assert answers == [walked(p) for p in range(len(answers))]
+            return answers
+
+        assert None not in check()[:24]
+        # A prefix prune that splits the first chunk, then one that
+        # drops whole chunks: pruned positions answer None.
+        spine.prune_before(2.5)
+        assert check()[:3] == [None, None, None]
+        spine.prune_before(12.5)
+        assert check()[:13] == [None] * 13
+        fill(sim, spine, 4)
+        check()
+
     def test_records_preserved_across_seal(self, tmp_path):
         sim, spine = make_spine()
         spine.configure_spill(tmp_path, hot_segments=50, seal_every=4)
@@ -93,6 +124,42 @@ class TestDemotion:
         assert stats["cold_segments"] == 3
         assert stats["spill_bytes"] > 0
         assert len(list(tmp_path.glob("*.seg"))) == 3
+
+    def test_lowered_retention_demotes_without_a_seal(self, tmp_path):
+        sim, spine = make_spine()
+        spine.configure_spill(tmp_path, hot_segments=4, seal_every=4)
+        fill(sim, spine, 22)
+        chunks = spine._store.sealed["bus"]
+        assert [c.is_cold for c in chunks] == [True, False, False, False, False]
+        seals = spine.tier_stats()["seals"]
+        spine.configure_spill(tmp_path, hot_segments=1, seal_every=4)
+        assert [c.is_cold for c in chunks] == [True, True, True, True, False]
+        stats = spine.tier_stats()
+        assert stats["seals"] == seals
+        assert stats["demotions"] == 4
+        assert len(list(tmp_path.glob("*.seg"))) == 4
+        assert spine.verify()
+
+    def test_drain_that_seals_nothing_runs_no_demote_pass(
+        self, tmp_path, monkeypatch
+    ):
+        sim, spine = make_spine()
+        spine.configure_spill(tmp_path, hot_segments=1, seal_every=8)
+        store = spine._store
+        passes = []
+        demote_excess = store._demote_excess
+        monkeypatch.setattr(
+            store, "_demote_excess",
+            lambda source: passes.append(source) or demote_excess(source),
+        )
+        for __ in range(7):
+            fill(sim, spine, 1)
+        assert passes == []
+        fill(sim, spine, 1)  # the eighth record seals
+        assert passes == ["bus"]
+        fill(sim, spine, 8)
+        assert passes == ["bus", "bus"]
+        assert spine.tier_stats()["cold_segments"] == 1
 
     def test_cold_records_reload_identically(self, tmp_path):
         sim, spine = make_spine()
