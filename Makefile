@@ -3,7 +3,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: verify test lint bench bench-wire bench-audit bench-federation \
 	bench-workers bench-query bench-transport bench-verify \
-	bench-analysis bench-all test-concurrency perfbench
+	bench-analysis bench-all test-concurrency perfbench ab
 
 # Tier-1 verification: the whole suite, fail-fast.  The bench smoke
 # list (decision-plane + wire-plane scale benches, with their ratio
@@ -94,6 +94,16 @@ perfbench:
 	for workload in ward_stream clinic_bus vitals_history; do \
 		$(PYTHON) perfbench/run.py --workload $$workload --seed 1 || exit 1; \
 	done
+
+# Alternating A/B pairs of the end-to-end benchmark: BASE (a git ref,
+# checked out in a temporary worktree) vs the working tree, one workload
+# at seed 1; prints per-metric medians, the base IQR, wins and a verdict
+# against each metric's bound in BENCHMARK.json.
+BASE ?= HEAD
+WORKLOAD ?= ward_stream
+PAIRS ?= 10
+ab:
+	$(PYTHON) scripts/ab_pairs.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 # The real-thread stress tests of the contention-proofed planes
 # (audit-spine ring drains, parallel deep verify).

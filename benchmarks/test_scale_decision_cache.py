@@ -93,9 +93,12 @@ def _fanout_bus(n_sinks, buffer_size):
 def test_sdc_batched_vs_single_publish(report):
     """Fan-out publish: publish() per message vs one publish_batch().
 
-    Best-of-3 on each side; the hard assert is only a "batching must not
-    be materially slower" tripwire — wall-clock ratios of two short runs
-    are too jittery to gate CI on strictly-faster.
+    ``publish_batch`` is a loop over ``publish`` with one audit flush at
+    the end, so the two sides differ only in when the chain is hashed
+    (per append vs one buffered chunk).  Best-of-3 on each side; the
+    hard assert is only a "batching must not be materially slower"
+    tripwire — wall-clock ratios of two short runs are too jittery to
+    gate CI on strictly-faster.
     """
     n_sinks, n_msgs = 8, 250
     batch = [{"value": float(i)} for i in range(n_msgs)]

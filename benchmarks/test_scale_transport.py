@@ -7,9 +7,9 @@ per datagram) and the per-message envelope work on both substrate ends
 (encode, decode, flow plan).  The coalesced stack is
 ``with_transport`` (outbox batching, slotted flush events) plus
 ``send_batch`` (one :class:`~repro.middleware.MaskBatchEnvelope` per
-``(host, context, type)`` group, receive-side plan memo); the baseline
-is the seed's ``send`` loop — one datagram, one event, one envelope per
-message.  Two A/B axes:
+run of rows sharing a host, context and type); the baseline is a
+``send`` loop on the per-datagram network — one datagram, one event,
+one one-row envelope per message.  Two A/B axes:
 
 * **e2e enforcing publish** — ring traffic across 2/8/16 machines,
   enforcement + audit + wire masks on, identical message counts both

@@ -28,9 +28,7 @@ from repro.middleware.reconfig import (
 )
 from repro.middleware.substrate import (
     MaskBatchEnvelope,
-    MaskEnvelope,
     MessagingSubstrate,
-    SubstrateEnvelope,
     SubstrateStats,
     TagSetEnvelope,
 )
@@ -64,8 +62,6 @@ __all__ = [
     "Reconfigurator",
     "MessagingSubstrate",
     "MaskBatchEnvelope",
-    "MaskEnvelope",
-    "SubstrateEnvelope",
     "SubstrateStats",
     "TagSetEnvelope",
     "ChainComposer",

@@ -10,7 +10,7 @@ AC-only baseline used throughout EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.accesscontrol.pep import EnforcementMode
@@ -19,9 +19,8 @@ from repro.audit.records import RecordKind
 from repro.audit.spine import bind_source
 from repro.errors import AccessDenied, DiscoveryError, FlowError, SchemaError
 from repro.ifc.decisions import DecisionPlane
-from repro.ifc.flow import FlowDecision
 from repro.middleware.channel import Channel
-from repro.middleware.component import Component, Endpoint, EndpointKind
+from repro.middleware.component import Component, Endpoint
 from repro.middleware.message import Message
 
 #: AC hook: decides whether ``initiator`` may connect source→sink.
@@ -44,26 +43,6 @@ class DeliveryReport:
     delivered: int = 0
     denied: int = 0
     quenched_attributes: int = 0
-
-
-class _BatchPlan:
-    """Hoisted per-(sender, endpoint) state for one publish_batch run.
-
-    ``entries`` holds one ``(channel, sink context, decision)`` per live
-    channel: the base flow decision for the message context and that
-    sink context (None in AC_ONLY mode).  An entry's decision is used
-    only while ``channel.sink.context`` is the identical object captured
-    at plan time; otherwise the delivery evaluates afresh.
-    """
-
-    __slots__ = ("version", "src_ctx", "msg_ctx", "msg_type", "entries")
-
-    def __init__(self, version, src_ctx, msg_ctx, msg_type, entries):
-        self.version = version
-        self.src_ctx = src_ctx
-        self.msg_ctx = msg_ctx
-        self.msg_type = msg_type
-        self.entries = entries
 
 
 class MessageBus:
@@ -122,11 +101,6 @@ class MessageBus:
         # channels mid-delivery) and the keys to compact collect here.
         self._route_depth = 0
         self._compact_pending: Set[Tuple[int, int]] = set()
-        # Bumped whenever the channel list changes membership; batch
-        # fan-out plans pin the version they were built against and
-        # rebuild when it moves (a handler connecting mid-batch must see
-        # its new channel serve the rest of the batch).
-        self._channels_version = 0
         #: The bus-wide decision plane: every IFC evaluation this bus (and
         #: its channels) performs is evaluated and audited through here.
         self.plane = DecisionPlane(audit=self.audit)
@@ -223,7 +197,6 @@ class MessageBus:
         # Appended in place: a route iterating this list (a handler
         # connecting mid-delivery) serves the new channel too.
         self._routes.setdefault((id(source), id(src_ep)), []).append(channel)
-        self._channels_version += 1
         if self.audit is not None:
             self.audit.append(
                 RecordKind.CHANNEL_ESTABLISHED,
@@ -251,7 +224,6 @@ class MessageBus:
         those compact once the outermost route finishes instead, so a
         long-running bus never accumulates dead channels either way.
         """
-        self._channels_version += 1
         key = (id(channel.source), id(channel.source_endpoint))
         if self._route_depth:
             self._compact_pending.add(key)
@@ -307,93 +279,25 @@ class MessageBus:
     def publish_batch(
         self, source: Component, endpoint_name: str, batch: List[Dict]
     ) -> DeliveryReport:
-        """Publish many messages from one endpoint, amortising the per-
-        message costs: audit appends are chain-hashed in one chunk at
-        the end (see ``AuditLog.flush``).
-
-        Beyond audit batching, the per-message fixed costs are hoisted
-        into a :class:`_BatchPlan` built once per (sender, sink-set):
-        the creation context and the base flow decision per sink are
-        computed once and reused for every message whose contexts are
-        unchanged; quenching runs per delivery on masks
-        (:meth:`~repro.middleware.message.MessageType.quench`).
-        Handlers may still suspend, resume, connect or tear down
-        channels (or relabel components, or advance the clock)
-        mid-batch — the loop checks ``channel.active`` and context
-        identity per delivery and the channel-list version per message,
-        rebuilding the plan or evaluating afresh, so batching never
-        changes which messages handlers see or how messages are stamped.
+        """Publish many messages from one endpoint: a :meth:`publish`
+        per entry, then one audit flush, so the chain hashing of the
+        batch's records runs in one chunk (see ``AuditLog.flush``).
 
         ``batch`` is a list of attribute-value mappings, one per message,
         as would be passed to :meth:`publish` as keyword arguments.
-        Returns one aggregated :class:`DeliveryReport`.
+        Returns one aggregated :class:`DeliveryReport`.  An unknown
+        ``endpoint_name`` raises even for an empty batch.
         """
+        source.endpoint(endpoint_name)
         report = DeliveryReport()
-        src_ep = source.endpoint(endpoint_name)
-        plan = self._batch_plan(source, src_ep)
-        clock = self._clock
-        self._route_depth += 1
-        try:
-            for values in batch:
-                if (
-                    plan.version != self._channels_version
-                    or source.context is not plan.src_ctx
-                ):
-                    plan = self._batch_plan(source, src_ep)
-                # Inline make_message with the hoisted creation context;
-                # Message.__post_init__ still validates every payload.
-                message = Message(
-                    type=plan.msg_type, values=values, context=plan.msg_ctx
-                )
-                message.sent_at = clock()
-                sub = DeliveryReport()
-                for channel, sink_ctx, decision in plan.entries:
-                    if not channel.active:
-                        continue
-                    sub.sent += 1
-                    # A sink relabelled mid-batch makes the hoisted
-                    # decision stale: evaluate afresh.
-                    self._deliver_on(
-                        channel, message, sub,
-                        decision if channel.sink.context is sink_ctx else None,
-                    )
-                self._accumulate(sub)
-                report.sent += sub.sent
-                report.delivered += sub.delivered
-                report.denied += sub.denied
-                report.quenched_attributes += sub.quenched_attributes
-        finally:
-            self._end_route()
+        for values in batch:
+            sub = self.publish(source, endpoint_name, **values)
+            report.sent += sub.sent
+            report.delivered += sub.delivered
+            report.denied += sub.denied
+            report.quenched_attributes += sub.quenched_attributes
         self.plane.flush()
         return report
-
-    def _batch_plan(self, source: Component, src_ep: Endpoint) -> _BatchPlan:
-        """Build the hoisted fan-out plan for a batch from ``src_ep``.
-
-        One entry per live channel in the endpoint's route list, in
-        connect order (suspended ones too: the batch loop skips them
-        while inactive).  Captures the channel-list version and the
-        source context object so the batch loop can detect staleness by
-        identity, never by (costly) label comparison.
-        """
-        src_ctx = source.context
-        msg_ctx = src_ctx.creation_context()
-        evaluate = self.plane.evaluate
-        ac_only = self.mode == EnforcementMode.AC_ONLY
-        entries = []
-        for channel in self._channels_from(source, src_ep):
-            if not channel.alive:
-                continue
-            sink_ctx = channel.sink.context
-            entries.append((
-                channel,
-                sink_ctx,
-                None if ac_only else evaluate(msg_ctx, sink_ctx),
-            ))
-        return _BatchPlan(
-            self._channels_version, src_ctx, msg_ctx, src_ep.message_type,
-            entries,
-        )
 
     def route(
         self, source: Component, endpoint_name: str, message: Message
@@ -426,15 +330,10 @@ class MessageBus:
         self.stats.quenched_attributes += report.quenched_attributes
 
     def _deliver_on(
-        self,
-        channel: Channel,
-        message: Message,
-        report: DeliveryReport,
-        decision: Optional[FlowDecision] = None,
+        self, channel: Channel, message: Message, report: DeliveryReport
     ) -> None:
-        """Deliver ``message`` over one channel: the flow rule (``decision``
-        when the caller hoisted it for the sink's current context),
-        Fig. 10 quenching, the audit record and the handler call."""
+        """Deliver ``message`` over one channel: the flow rule, Fig. 10
+        quenching, the audit record and the handler call."""
         sink = channel.sink
         sink_ctx = sink.context
         context = message.context
@@ -452,8 +351,7 @@ class MessageBus:
             report.delivered += 1
             return
 
-        if decision is None:
-            decision = self.plane.evaluate(context, sink_ctx)
+        decision = self.plane.evaluate(context, sink_ctx)
         if not decision.allowed:
             report.denied += 1
             self.plane.audit_denied(

@@ -20,8 +20,8 @@ Wire formats (see ``docs/wire_plane.md``): security contexts cross the
 wire either as serialised tag sets (:class:`TagSetEnvelope`, the
 pre-handshake fallback) or — once the peers have exchanged tag tables
 through the :class:`~repro.ifc.wire.WireCodec` handshake — as plain int
-masks in the *sender's* numbering (:class:`MaskEnvelope`), which the
-receiver remaps through its per-peer translation table.  The receiver
+masks in the *sender's* numbering (:class:`MaskBatchEnvelope`), which
+the receiver remaps through its per-peer translation table.  The receiver
 re-derives full :class:`~repro.ifc.labels.SecurityContext` objects
 either way, so the receive-side re-check is identical for both formats.
 """
@@ -29,15 +29,14 @@ either way, so the receive-side re-check is identical for both formats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from repro.audit.log import AuditLog
 from repro.audit.records import RecordKind
 from repro.audit.spine import bind_source
 from repro.cloud.kernel import Process
 from repro.cloud.machine import Machine
 from repro.crypto.attestation import AttestationVerifier
-from repro.errors import AttestationError, FlowError, NetworkError
+from repro.errors import NetworkError
 from repro.ifc.decisions import DecisionPlane
 from repro.ifc.labels import SecurityContext
 from repro.ifc.wire import WireCodec, WireControl, control_wire_size
@@ -46,23 +45,6 @@ from repro.net.network import Datagram, Network
 
 #: Application-level delivery callback: (sender_addr, message).
 SubstrateHandler = Callable[[str, Message], None]
-
-
-@dataclass
-class SubstrateEnvelope:
-    """An in-process transfer carrying a whole :class:`Message`.
-
-    The legacy path, kept for tooling: in-process callers may hand one
-    straight to a substrate, which receives it, like every wire
-    envelope, as a batch of one row.
-    """
-
-    source_host: str
-    source_process: str
-    dest_host: str
-    dest_process: str
-    message: Message
-    source_context: SecurityContext
 
 
 def _context_wire_tags(ctx: SecurityContext) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
@@ -81,7 +63,7 @@ class TagSetEnvelope:
     out as qualified tag strings, re-interned on receipt.  It stays as
     the fallback for peers that have not completed the tag-table
     handshake (and for any message whose label contains a tag the peer
-    has not yet confirmed, see :class:`MaskEnvelope`).
+    has not yet confirmed, see :class:`MaskBatchEnvelope`).
     """
 
     source_host: str
@@ -99,50 +81,28 @@ class TagSetEnvelope:
 
 
 @dataclass
-class MaskEnvelope:
-    """Post-handshake wire format: contexts as int masks.
+class MaskBatchEnvelope:
+    """Post-handshake wire format: one datagram, one or more messages.
 
     Masks are in the *sender's* interner numbering and may only use bit
     positions the receiver has confirmed holding (the codec enforces
     this at encode time), so the receiver can always remap them through
     its per-peer translation table.  ``table_version`` records the
-    sender-table length the masks were encoded against, for diagnostics
-    and defensive decoding.
-    """
+    sender-table length the masks were encoded against, for diagnostics.
 
-    source_host: str
-    source_process: str
-    dest_host: str
-    dest_process: str
-    type: MessageType
-    values: Dict
-    msg_id: int
-    sent_at: float
-    msg_secrecy_mask: int
-    msg_integrity_mask: int
-    src_secrecy_mask: int
-    src_integrity_mask: int
-    table_version: int
+    :meth:`MessagingSubstrate.send_batch` ships one of these per run of
+    consecutive messages bound for one host with one context and type —
+    a single :meth:`~MessagingSubstrate.send` is a run of one.  The
+    shared fields (routing header, the four context masks, the table
+    version) are encoded once, and each message contributes only a
+    *row*: ``(dest_process, values, msg_id, sent_at)``.  The receiver
+    decodes the shared header once and runs the ordinary per-message
+    receive protocol (decision, quenching, audit) over the rows.
 
-
-@dataclass
-class MaskBatchEnvelope:
-    """Post-handshake batched wire format: one datagram, many messages.
-
-    :meth:`MessagingSubstrate.send_batch` groups messages by destination
-    host and ships one of these per ``(host, message-context)`` group —
-    the fields every message shares (routing header, the four context
-    masks, the table version) are encoded once, and each message
-    contributes only a *row*: ``(dest_process, values, msg_id,
-    sent_at)``.  The receiver decodes the shared header once and runs
-    the ordinary per-message receive protocol (decision, quenching,
-    audit) over the rows with the fixed costs hoisted.
-
-    This is a substrate wire-format choice exactly like
-    :class:`MaskEnvelope` was: one batch envelope is one datagram, so
-    network-level loss drops the whole batch (the transparent
-    network-outbox coalescing in ``repro.net`` keeps strict per-datagram
-    loss instead; see ``docs/transport_plane.md``).
+    One envelope is one datagram, so network-level loss drops all its
+    rows (the transparent network-outbox coalescing in ``repro.net``
+    keeps strict per-datagram loss instead; see
+    ``docs/transport_plane.md``).
     """
 
     source_host: str
@@ -171,12 +131,15 @@ class SubstrateStats:
     #: Envelopes shipped as int masks vs the tag-set fallback.
     sent_masked: int = 0
     sent_tagset: int = 0
-    #: Coalesced batch envelopes shipped by send_batch.
+    #: MaskBatchEnvelopes shipped, single sends included (one per run
+    #: of rows sharing a host, context and type).
     sent_batches: int = 0
-    #: Envelopes addressed to a process this substrate does not serve.
+    #: Rows addressed to a process this substrate does not serve, and
+    #: gossip datagrams reaching a substrate with no mesh node.
     dropped_unroutable: int = 0
-    #: Mask envelopes whose bits exceeded our translation table
-    #: (reordered/lost control traffic) — dropped, never guessed at.
+    #: Mask rows whose bits exceeded our translation table
+    #: (reordered/lost control traffic) — dropped, never guessed at —
+    #: and payloads of no known wire format.
     dropped_undecodable: int = 0
     #: Table re-syncs triggered by post-handshake tag growth.
     table_syncs: int = 0
@@ -251,7 +214,7 @@ class MessagingSubstrate:
 
         The wire-plane handshake piggybacks here: attestation is the
         substrate's first round-trip with an unfamiliar host, so the
-        tag-table HELLO rides out together with it (see :meth:`_ship`).
+        tag-table HELLO rides out together with it (see :meth:`send_batch`).
         """
         if self.verifier is None:
             return True
@@ -283,12 +246,38 @@ class MessagingSubstrate:
         peer_process_name: str,
         message: Message,
     ) -> bool:
-        """Send a message from a local process to a remote one.
+        """Send a message from a local process to a remote one: a batch
+        of one row (see :meth:`send_batch`).
 
         Returns True when the message was handed to the network.  Denials
         (IFC, attestation) return False and are audited — the substrate
         never raises for policy denials on the send path, mirroring how a
         messaging layer reports rather than crashes.
+        """
+        return self.send_batch(
+            process, ((peer, peer_process_name),), (message,)
+        ) == 1
+
+    def send_batch(
+        self,
+        process: Process,
+        sinks: Sequence[Tuple["MessagingSubstrate", str]],
+        messages: Sequence[Message],
+    ) -> int:
+        """Send every message to every sink — the one send path.
+
+        Per (message, sink), message-major: the peer's attestation
+        (cached per host), the flow rule from the process to the message
+        context (evaluated once per message), the wire handshake drive
+        and the encoding.  Consecutive mask rows bound for one host with
+        one context and type ride one :class:`MaskBatchEnvelope`;
+        anything else bound for that host (a row of another context, a
+        tag-set fallback, a table re-sync) ships the open run first, so
+        every host receives exactly what a loop of single sends would
+        deliver, in the same order.
+
+        Returns how many (message, sink) transfers were handed to the
+        network (denials and attestation failures are excluded).
         """
         if process.name not in self._local:
             # Not a send at all: an unregistered process has no binding
@@ -297,101 +286,27 @@ class MessagingSubstrate:
             raise NetworkError(
                 f"{process.name} is not registered with this substrate"
             )
-        self.stats.sent += 1
-
-        if self.enforce:
-            if not self._peer_trusted(peer):
-                self.stats.attestation_failures += 1
-                return False
-            # The substrate knows its application's kernel-level context;
-            # the message carries that context across the wire.
-            decision = self.plane.evaluate(process.security, message.context)
-            # Message context must at least cover the process's own; the
-            # common case is equality (message created by the process).
-            if not decision.allowed:
-                self.stats.denied_local += 1
-                self.plane.audit_denied(
-                    process.name,
-                    f"{peer.machine.hostname}/{peer_process_name}",
-                    f"message labelled below its producer: {decision.reason}",
-                    process.security,
-                    message.context,
-                )
-                return False
-
-        self._ship(process, peer, peer_process_name, message)
-        return True
-
-    def send_batch(
-        self,
-        process: Process,
-        sinks: Sequence[Tuple["MessagingSubstrate", str]],
-        messages: Sequence[Message],
-    ) -> int:
-        """Send every message to every sink, amortising the per-message
-        fixed costs — the substrate twin of
-        :meth:`~repro.middleware.bus.MessageBus.publish_batch`.
-
-        Hoisted per batch: the attestation check per peer host, the
-        local flow decision per distinct message context (identity-
-        keyed, exactly the staleness rule the bus plan uses), the wire
-        handshake drive and the :class:`MaskBatchEnvelope` header per
-        ``(host, context)`` group.  Per (message, sink) the counters,
-        denial audits and delivery semantics are identical to a
-        :meth:`send` loop; per-host delivery order is the send-loop
-        order.  Sinks whose peer cannot take masks yet fall back to
-        per-message tag-set envelopes, exactly as :meth:`send` would.
-
-        Returns how many (message, sink) transfers were handed to the
-        network (denials and attestation failures are excluded, as in
-        :meth:`send`).
-        """
-        if process.name not in self._local:
-            raise NetworkError(
-                f"{process.name} is not registered with this substrate"
-            )
-        if not sinks or not messages:
-            return 0
-        host = self.machine.hostname
+        stats = self.stats
         src_sec = process.security
         enforce = self.enforce
-        evaluate = self.plane.evaluate
-        # decision per message-context, by identity (contexts are shared
-        # objects on the hot path; an unshared equal context just costs
-        # one extra evaluate).
-        decisions: Dict[int, object] = {}
-        # (peer_host, id(ctx), id(type)) → (masks-or-None, ctx, type):
-        # the hoisted envelope header; plus the rows accumulating on it.
-        group_meta: Dict[Tuple[str, int, int], Tuple] = {}
-        groups: Dict[Tuple[str, int, int], List] = {}
-        greeted: set = set()
-        src_tags: Optional[Tuple] = None  # lazy: fallback sends only
+        wire = self.wire if self.wire_masks else None
+        # peer host → its open run: (context, type, masks, rows).
+        runs: Dict[str, tuple] = {}
         accepted = 0
-
-        trusted: Dict[str, bool] = {}
-        for peer, __ in sinks:
-            peer_host = peer.machine.hostname
-            if peer_host not in trusted:
-                trusted[peer_host] = (not enforce) or self._peer_trusted(peer)
-
         for message in messages:
             ctx = message.context
-            ctx_key = id(ctx)
             decision = None
-            if enforce:
-                decision = decisions.get(ctx_key)
-                if decision is None:
-                    decision = evaluate(src_sec, ctx)
-                    decisions[ctx_key] = decision
             for peer, peer_process_name in sinks:
                 peer_host = peer.machine.hostname
-                self.stats.sent += 1
+                stats.sent += 1
                 if enforce:
-                    if not trusted[peer_host]:
-                        self.stats.attestation_failures += 1
+                    if not self._peer_trusted(peer):
+                        stats.attestation_failures += 1
                         continue
+                    if decision is None:
+                        decision = self.plane.evaluate(src_sec, ctx)
                     if not decision.allowed:
-                        self.stats.denied_local += 1
+                        stats.denied_local += 1
                         self.plane.audit_denied(
                             process.name,
                             f"{peer_host}/{peer_process_name}",
@@ -402,174 +317,97 @@ class MessagingSubstrate:
                         )
                         continue
                 accepted += 1
-                if self.wire_masks:
-                    if peer_host not in greeted:
-                        greeted.add(peer_host)
-                        hello = self.wire.greet(peer_host)
-                        if hello is not None:
-                            self.network.send(
-                                host, peer_host, hello, kind="handshake",
-                                size=control_wire_size(hello),
-                            )
-                    group_key = (peer_host, ctx_key, id(message.type))
-                    meta = group_meta.get(group_key)
-                    if meta is None:
-                        masks = self.wire.encode_masks(
-                            peer_host,
-                            ctx.secrecy.mask,
-                            ctx.integrity.mask,
-                            src_sec.secrecy.mask,
-                            src_sec.integrity.mask,
-                        )
-                        if masks is None:
-                            # Handshaked but behind: ship the table
-                            # delta once (resync self-suppresses while
-                            # one is in flight), fall back below.
-                            update = self.wire.resync(peer_host)
-                            if update is not None:
-                                self.stats.table_syncs += 1
-                                self.network.send(
-                                    host, peer_host, update, kind="handshake",
-                                    size=control_wire_size(update),
-                                )
-                                if self.audit is not None:
-                                    self.audit.append(
-                                        RecordKind.TABLE_SYNC,
-                                        host,
-                                        peer_host,
-                                        {"base": update.base,
-                                         "tags": len(update.tags)},
-                                    )
-                        meta = (masks, message.type)
-                        group_meta[group_key] = meta
-                    if meta[0] is not None:
-                        groups.setdefault(group_key, []).append(
-                            (peer_process_name, message.values,
-                             message.msg_id, message.sent_at)
-                        )
+                row = (peer_process_name, message.values, message.msg_id,
+                       message.sent_at)
+                run = runs.get(peer_host)
+                if run is not None:
+                    if run[0] is ctx and run[1] is message.type:
+                        run[3].append(row)
                         continue
-                # Fallback (wire_masks off, or the peer cannot take
-                # masks yet): per-message tag-set envelope, as send()
-                # would ship.
-                if src_tags is None:
-                    src_tags = _context_wire_tags(src_sec)
-                self._ship_tagset(
-                    process.name, src_tags[0], src_tags[1],
-                    peer_host, peer_process_name, message,
-                )
-
-        for group_key, rows in groups.items():
-            peer_host = group_key[0]
-            masks, msg_type = group_meta[group_key]
-            self.stats.sent_masked += len(rows)
-            self.stats.sent_batches += 1
-            self.network.send(
-                host,
-                peer_host,
-                MaskBatchEnvelope(
-                    source_host=host,
-                    source_process=process.name,
-                    dest_host=peer_host,
-                    type=msg_type,
-                    msg_secrecy_mask=masks[0],
-                    msg_integrity_mask=masks[1],
-                    src_secrecy_mask=masks[2],
-                    src_integrity_mask=masks[3],
-                    table_version=self.wire.peer(peer_host).confirmed,
-                    rows=tuple(rows),
-                ),
-            )
+                    self._ship_run(process.name, peer_host, runs.pop(peer_host))
+                if wire is not None:
+                    hello = wire.greet(peer_host)
+                    if hello is not None:
+                        self._send_control(peer_host, hello)
+                    masks = wire.encode_masks(
+                        peer_host,
+                        ctx.secrecy.mask,
+                        ctx.integrity.mask,
+                        src_sec.secrecy.mask,
+                        src_sec.integrity.mask,
+                    )
+                    if masks is not None:
+                        runs[peer_host] = (ctx, message.type, masks, [row])
+                        continue
+                    self._resync(peer_host)
+                self._ship_tagset(process, peer_host, peer_process_name, message)
+        for peer_host, run in runs.items():
+            self._ship_run(process.name, peer_host, run)
         return accepted
 
-    def _ship(
-        self,
-        process: Process,
-        peer: "MessagingSubstrate",
-        peer_process_name: str,
-        message: Message,
-    ) -> None:
-        """Encode and transmit one message, driving the wire handshake."""
+    def _ship_run(self, process_name: str, peer_host: str, run: tuple) -> None:
+        """Ship one run of mask rows as a :class:`MaskBatchEnvelope`."""
+        __, msg_type, masks, rows = run
+        self.stats.sent_masked += len(rows)
+        self.stats.sent_batches += 1
         host = self.machine.hostname
-        peer_host = peer.machine.hostname
+        self.network.send(
+            host,
+            peer_host,
+            MaskBatchEnvelope(
+                source_host=host,
+                source_process=process_name,
+                dest_host=peer_host,
+                type=msg_type,
+                msg_secrecy_mask=masks[0],
+                msg_integrity_mask=masks[1],
+                src_secrecy_mask=masks[2],
+                src_integrity_mask=masks[3],
+                table_version=self.wire.peer(peer_host).confirmed,
+                rows=tuple(rows),
+            ),
+        )
 
-        if self.wire_masks:
-            hello = self.wire.greet(peer_host)
-            if hello is not None:
-                self.network.send(
-                    host, peer_host, hello, kind="handshake",
-                    size=control_wire_size(hello),
-                )
-            masks = self.wire.encode_masks(
+    def _resync(self, peer_host: str) -> None:
+        """The peer is handshaked but a label used a tag it has not
+        confirmed: ship the table delta — a re-sync, never a mislabel.
+        The codec suppresses a second delta while one is in flight."""
+        update = self.wire.resync(peer_host)
+        if update is None:
+            return
+        self.stats.table_syncs += 1
+        self._send_control(peer_host, update)
+        if self.audit is not None:
+            self.audit.append(
+                RecordKind.TABLE_SYNC,
+                self.machine.hostname,
                 peer_host,
-                message.context.secrecy.mask,
-                message.context.integrity.mask,
-                process.security.secrecy.mask,
-                process.security.integrity.mask,
+                {"base": update.base, "tags": len(update.tags)},
             )
-            if masks is not None:
-                self.stats.sent_masked += 1
-                self.network.send(
-                    host,
-                    peer_host,
-                    MaskEnvelope(
-                        source_host=host,
-                        source_process=process.name,
-                        dest_host=peer_host,
-                        dest_process=peer_process_name,
-                        type=message.type,
-                        values=message.values,
-                        msg_id=message.msg_id,
-                        sent_at=message.sent_at,
-                        msg_secrecy_mask=masks[0],
-                        msg_integrity_mask=masks[1],
-                        src_secrecy_mask=masks[2],
-                        src_integrity_mask=masks[3],
-                        table_version=self.wire.peer(peer_host).confirmed,
-                    ),
-                )
-                return
-            # The peer is handshaked but a label used a tag it has not
-            # confirmed: ship the table delta, fall back to tag sets for
-            # this message — a re-sync, never a mislabel.
-            update = self.wire.resync(peer_host)
-            if update is not None:
-                self.stats.table_syncs += 1
-                self.network.send(
-                    host, peer_host, update, kind="handshake",
-                    size=control_wire_size(update),
-                )
-                if self.audit is not None:
-                    self.audit.append(
-                        RecordKind.TABLE_SYNC,
-                        host,
-                        peer_host,
-                        {"base": update.base, "tags": len(update.tags)},
-                    )
 
-        src_secrecy, src_integrity = _context_wire_tags(process.security)
-        self._ship_tagset(
-            process.name, src_secrecy, src_integrity,
-            peer_host, peer_process_name, message,
+    def _send_control(self, peer_host: str, payload: WireControl) -> None:
+        self.network.send(
+            self.machine.hostname, peer_host, payload, kind="handshake",
+            size=control_wire_size(payload),
         )
 
     def _ship_tagset(
         self,
-        process_name: str,
-        src_secrecy: Tuple[str, ...],
-        src_integrity: Tuple[str, ...],
+        process: Process,
         peer_host: str,
         peer_process_name: str,
         message: Message,
     ) -> None:
         """Ship one message in the tag-set fallback format."""
         self.stats.sent_tagset += 1
+        src_secrecy, src_integrity = _context_wire_tags(process.security)
         msg_secrecy, msg_integrity = _context_wire_tags(message.context)
         self.network.send(
             self.machine.hostname,
             peer_host,
             TagSetEnvelope(
                 source_host=self.machine.hostname,
-                source_process=process_name,
+                source_process=process.name,
                 dest_host=peer_host,
                 dest_process=peer_process_name,
                 type=message.type,
@@ -588,10 +426,7 @@ class MessagingSubstrate:
     def _handle_control(self, source_host: str, payload: WireControl) -> None:
         reply, event = self.wire.handle_control(source_host, payload)
         if reply is not None:
-            self.network.send(
-                self.machine.hostname, source_host, reply, kind="handshake",
-                size=control_wire_size(reply),
-            )
+            self._send_control(source_host, reply)
         if event is not None and self.audit is not None:
             step = event.get("step", "")
             kind = (
@@ -601,25 +436,29 @@ class MessagingSubstrate:
             )
             self.audit.append(kind, self.machine.hostname, source_host, event)
 
+    def _misdelivered(self, datagram: Datagram, reason: str) -> None:
+        """Audit a datagram nothing on this substrate can take, naming
+        its payload type, so compliance tooling sees every drop."""
+        if self.audit is not None:
+            self.audit.append(
+                RecordKind.MISDELIVERY,
+                datagram.source,
+                self.machine.hostname,
+                {"payload": type(datagram.payload).__name__,
+                 "reason": reason},
+            )
+
     def _decode(self, datagram: Datagram) -> Optional[Tuple]:
         """Decode a wire payload into one batch ``(source address,
         message context, message type, rows)``, each row
         ``(dest_process, values, msg_id, sent_at)``.
 
-        A :class:`MaskBatchEnvelope` carries its rows; every other
-        envelope is a batch of one row.  Masks beyond our translation
-        table are dropped and audited here (None).
+        A :class:`MaskBatchEnvelope` carries its rows; a
+        :class:`TagSetEnvelope` is a batch of one row.  Anything else,
+        and masks beyond our translation table, are counted, audited and
+        dropped here (None).
         """
         payload = datagram.payload
-        if isinstance(payload, SubstrateEnvelope):
-            message = payload.message  # legacy in-process path
-            return (
-                f"{payload.source_host}/{payload.source_process}",
-                message.context,
-                message.type,
-                ((payload.dest_process, message.values, message.msg_id,
-                  message.sent_at),),
-            )
         if isinstance(payload, TagSetEnvelope):
             return (
                 f"{payload.source_host}/{payload.source_process}",
@@ -628,15 +467,11 @@ class MessagingSubstrate:
                 ((payload.dest_process, payload.values, payload.msg_id,
                   payload.sent_at),),
             )
-        if isinstance(payload, MaskBatchEnvelope):
-            rows = payload.rows
-            what = {"rows": len(rows)}
-        elif isinstance(payload, MaskEnvelope):
-            rows = ((payload.dest_process, payload.values, payload.msg_id,
-                     payload.sent_at),)
-            what = {"msg_id": payload.msg_id}
-        else:
+        if not isinstance(payload, MaskBatchEnvelope):
+            self.stats.dropped_undecodable += 1
+            self._misdelivered(datagram, "no such wire format")
             return None
+        rows = payload.rows
         # Key the translation table by the transport-level source — the
         # same field handshake state is keyed by — never by the
         # sender-controlled envelope header: masks remapped through the
@@ -658,7 +493,7 @@ class MessagingSubstrate:
                     RecordKind.TABLE_SYNC,
                     self.machine.hostname,
                     host,
-                    {"step": "undecodable", **what,
+                    {"step": "undecodable", "rows": len(rows),
                      "table_version": payload.table_version},
                 )
             return None
@@ -685,6 +520,9 @@ class MessagingSubstrate:
         if datagram.kind == "gossip":
             if self._gossip_node is not None:
                 self._gossip_node.receive(datagram)
+            else:
+                self.stats.dropped_unroutable += 1
+                self._misdelivered(datagram, "gossip with no mesh node")
             return
         if isinstance(datagram.payload, WireControl):
             self._handle_control(datagram.source, datagram.payload)

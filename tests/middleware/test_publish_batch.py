@@ -1,6 +1,9 @@
 """Batched publish: amortised fan-out must keep per-message enforcement."""
 
+import pytest
+
 from repro.audit.log import AuditLog
+from repro.errors import DiscoveryError
 from repro.ifc import PrivilegeSet, SecurityContext
 from repro.middleware.bus import MessageBus
 from repro.middleware.component import Component, EndpointKind
@@ -49,6 +52,12 @@ class TestPublishBatch:
         sensor, __ = _wire(bus, SecurityContext.public())
         report = bus.publish_batch(sensor, "out", [])
         assert (report.sent, report.delivered) == (0, 0)
+
+    def test_empty_batch_from_unknown_endpoint_raises(self):
+        bus = MessageBus()
+        sensor, __ = _wire(bus, SecurityContext.public())
+        with pytest.raises(DiscoveryError):
+            bus.publish_batch(sensor, "no-such-endpoint", [])
 
     def test_channel_suspended_mid_batch_stops_delivery(self):
         """A handler that raises the sender's secrecy mid-batch suspends

@@ -1,13 +1,17 @@
-"""Cross-machine send batching: MaskBatchEnvelope and send_batch parity.
+"""Cross-machine send batching: MaskBatchEnvelope and send_batch.
 
-``send_batch`` must behave, per (message, sink), exactly like a
-``send`` loop — same counters, denials, quenching and audit records —
-while hoisting the fixed costs (attestation per host, flow decision per
-context, envelope header per group) and shipping one coalesced envelope
-per destination host.
+``send`` is a one-row ``send_batch``; a batch must behave, per (message,
+sink), exactly like a ``send`` loop — same counters, denials, quenching,
+audit records and per-handler delivery order — while shipping each run
+of rows bound for one host with one context and type as one envelope.
 """
 
+import dataclasses
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.audit import RecordKind
 from repro.cloud import Machine
@@ -327,3 +331,127 @@ class TestSendBatch:
             ]
 
         assert run(batched=True) == run(batched=False)
+
+
+# -- property: batching is invisible ------------------------------------------
+#
+# One stream of (messages × sinks) chunks, played into two identical
+# worlds: one sends each chunk with ``send_batch`` or a ``send`` loop at
+# random, the other sends every (message, sink) pair with ``send``.  The
+# worlds must agree on what each handler receives and in which order,
+# on every substrate counter but ``sent_batches``, and on every node's
+# audit trail.  The stream mixes send-side denials (a message labelled
+# below its producer), remote denials (a public sink), quenching (an
+# attribute with extra secrecy), the pre-handshake tag-set fallback (the
+# first chunks, until a drain completes the handshake) and a table
+# re-sync (a tag first interned after the handshake).
+
+PII = MessageType(
+    "vital",
+    [
+        AttributeSpec("value", float),
+        AttributeSpec("name", str, extra_secrecy=as_tags(["bi-pii"])),
+    ],
+)
+SENDER = SecurityContext.of(["bi-s"], ["bi-i"])
+#: Sink contexts by name; every tag is interned before any world is
+#: built, so both worlds' handshakes ship the same tables.
+SINKS = {
+    "same": SENDER,
+    "pii": SENDER.add_secrecy("bi-pii"),
+    "public": SecurityContext.public(),
+}
+_late_tags = itertools.count()
+
+#: Message kinds: the producer's own context, the same carrying an
+#: attribute with extra secrecy, a laundered (public) context, and the
+#: producer's context plus a tag first interned mid-stream.
+KINDS = ("own", "typed", "below", "late")
+
+messages_st = st.lists(
+    st.tuples(st.sampled_from(KINDS), st.integers(0, 9)),
+    min_size=1, max_size=3,
+)
+sinks_st = st.lists(
+    st.tuples(st.integers(1, 2), st.sampled_from(sorted(SINKS))),
+    min_size=1, max_size=3,
+)
+chunks_st = st.lists(
+    st.tuples(messages_st, sinks_st, st.booleans(), st.booleans()),
+    min_size=1, max_size=8,
+)
+
+
+def _canon(ctx):
+    """A context as tag names, the per-world late tag made generic."""
+    return tuple(
+        tuple(sorted(t.qualified.split(".")[0] for t in label.tags))
+        for label in (ctx.secrecy, ctx.integrity)
+    )
+
+
+def _play(n_hosts, chunks, batched):
+    sim, net, machines, subs = _world(n_hosts=n_hosts)
+    src = machines[0].launch("src", SENDER)
+    subs[0].register(src, lambda a, m: None)
+    got = {}
+    for host in range(1, n_hosts):
+        for name, ctx in SINKS.items():
+            process = machines[host].launch(name, ctx)
+            log = got[(host, name)] = []
+            subs[host].register(
+                process,
+                lambda a, m, log=log: log.append(
+                    (a, sorted(m.values.items()), _canon(m.context))
+                ),
+            )
+    late = None
+    accepted = 0
+    for specs, sink_specs, as_batch, drain in chunks:
+        messages = []
+        for kind, value in specs:
+            if kind == "late" and late is None:
+                # Interned now, after whatever handshake has completed.
+                late = SENDER.add_secrecy(f"bi-late.{next(_late_tags)}")
+            ctx = {"own": SENDER, "typed": SENDER,
+                   "below": SecurityContext.public(), "late": late}[kind]
+            if kind == "typed":
+                messages.append(Message(
+                    PII, {"value": float(value), "name": "Ann"}, context=ctx
+                ))
+            else:
+                messages.append(
+                    Message(READING, {"value": float(value)}, context=ctx)
+                )
+        sinks = [(subs[min(host, n_hosts - 1)], name)
+                 for host, name in sink_specs]
+        if batched and as_batch:
+            accepted += subs[0].send_batch(src, sinks, messages)
+        else:
+            for message in messages:
+                for peer, name in sinks:
+                    accepted += subs[0].send(src, peer, name, message)
+        if drain:
+            sim.drain()
+    sim.drain()
+    stats = []
+    for sub in subs:
+        row = dataclasses.asdict(sub.stats)
+        row.pop("sent_batches")
+        stats.append(row)
+    trails = [
+        [(r.kind, r.actor, r.subject) for r in machine.audit]
+        for machine in machines
+    ]
+    return accepted, got, stats, trails
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_hosts=st.integers(2, 3), chunks=chunks_st)
+def test_batching_is_invisible(n_hosts, chunks):
+    batched = _play(n_hosts, chunks, batched=True)
+    single = _play(n_hosts, chunks, batched=False)
+    assert batched[0] == single[0]  # transfers handed to the network
+    assert batched[1] == single[1]  # per-handler receipts, in order
+    assert batched[2] == single[2]  # counters, sent_batches aside
+    assert batched[3] == single[3]  # per-node audit trails

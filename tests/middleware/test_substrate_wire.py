@@ -14,11 +14,9 @@ from repro.ifc import SecurityContext, as_tags
 from repro.middleware import (
     AttributeSpec,
     MaskBatchEnvelope,
-    MaskEnvelope,
     Message,
     MessageType,
     MessagingSubstrate,
-    SubstrateEnvelope,
     TagSetEnvelope,
 )
 from repro.net import Network
@@ -83,7 +81,8 @@ class TestHandshake:
         for i in range(5):
             s1.send(p1, s2, "b", Message(READING, {"value": float(i)}, context=ctx))
         sim.drain()
-        assert kinds == ["MaskEnvelope"] * 5
+        # A single send is a one-row batch envelope.
+        assert kinds == ["MaskBatchEnvelope"] * 5
         assert s2.stats.delivered == 6
 
     def test_wire_masks_disabled_stays_on_tag_sets(self, sim):
@@ -133,13 +132,13 @@ class TestHandshake:
         assert got[2].context == late
 
     def test_undecodable_mask_envelope_dropped_and_audited(self, sim):
-        self._undecodable(sim, batched=False)
+        self._undecodable(sim, rows=1)
 
     def test_undecodable_mask_batch_dropped_and_audited(self, sim):
-        self._undecodable(sim, batched=True)
+        self._undecodable(sim, rows=2)
 
     @staticmethod
-    def _undecodable(sim, batched):
+    def _undecodable(sim, rows):
         net, m1, m2, s1, s2 = _pair(sim)
         p2 = m2.launch("b")
         s2.register(p2, lambda a, m: None)
@@ -150,56 +149,23 @@ class TestHandshake:
             src_integrity_mask=0,
             table_version=4,
         )
-        # A mask envelope from a host s2 never handshaked with: one
-        # message, or a batch of two rows.
-        if batched:
-            payload = MaskBatchEnvelope(
-                source_host="wh1", source_process="rogue", dest_host="wh2",
-                type=READING,
-                rows=(("b", {"value": 1.0}, 998, 0.0),
-                      ("b", {"value": 2.0}, 999, 0.0)),
-                **masks,
-            )
-            dropped, detail = 2, {"rows": 2}
-        else:
-            payload = MaskEnvelope(
-                source_host="wh1", source_process="rogue", dest_host="wh2",
-                dest_process="b", type=READING, values={"value": 1.0},
-                msg_id=999, sent_at=0.0, **masks,
-            )
-            dropped, detail = 1, {"msg_id": 999}
+        # A mask envelope from a host s2 never handshaked with: one row
+        # (what a single send ships), or a batch of several.
+        payload = MaskBatchEnvelope(
+            source_host="wh1", source_process="rogue", dest_host="wh2",
+            type=READING,
+            rows=tuple(("b", {"value": float(i)}, 900 + i, 0.0)
+                       for i in range(rows)),
+            **masks,
+        )
         net.send("wh1", "wh2", payload)
         sim.drain()
-        assert s2.stats.dropped_undecodable == dropped
+        assert s2.stats.dropped_undecodable == rows
         assert s2.stats.delivered == 0
         syncs = [r for r in m2.audit if r.kind == RecordKind.TABLE_SYNC]
         assert [r.detail for r in syncs] == [
-            {"step": "undecodable", **detail, "table_version": 4}
+            {"step": "undecodable", "rows": rows, "table_version": 4}
         ]
-
-    def test_in_process_envelope_is_received_like_a_wire_one(self, sim):
-        net, m1, m2, s1, s2 = _pair(sim)
-        typed = MessageType("person", [
-            AttributeSpec("name", str, extra_secrecy=as_tags(["wt-pii"])),
-            AttributeSpec("country", str),
-        ])
-        ctx = SecurityContext.of(["wt-base"], [])
-        p2 = m2.launch("b", ctx)
-        got = []
-        s2.register(p2, lambda a, m: got.append((a, m)))
-        message = Message(typed, {"name": "Ann", "country": "UK"}, ctx)
-        net.send("wh1", "wh2", SubstrateEnvelope(
-            "wh1", "a", "wh2", "b", message, ctx,
-        ))
-        sim.drain()
-        [(addr, delivered)] = got
-        assert addr == "wh1/a"
-        assert delivered.values == {"country": "UK"}
-        assert delivered.context is ctx and delivered.msg_id == message.msg_id
-        assert s2.stats.quenched_attributes == 1
-        [flow] = [r for r in m2.audit if r.kind == RecordKind.FLOW_ALLOWED]
-        assert flow.detail == {"msg_id": message.msg_id, "quenched": ["name"]}
-        assert flow.source_context is ctx
 
 
 class TestParity:
@@ -285,15 +251,12 @@ class TestParity:
         net.send(
             "wh3",
             "wh2",
-            MaskEnvelope(
+            MaskBatchEnvelope(
                 source_host="wh1",  # header claims the handshaked peer
                 source_process="a",
                 dest_host="wh2",
-                dest_process="b",
                 type=READING,
-                values={"value": 66.6},
-                msg_id=1000,
-                sent_at=0.0,
+                rows=(("b", {"value": 66.6}, 1000, 0.0),),
                 msg_secrecy_mask=ctx.secrecy.mask,
                 msg_integrity_mask=0,
                 src_secrecy_mask=ctx.secrecy.mask,
@@ -355,3 +318,29 @@ class TestSatelliteFixes:
         assert len(records) == 1
         assert records[0].actor == "wh1/a"
         assert records[0].subject == "wh2/ghost"
+
+    def test_unknown_payload_counted_and_audited(self, sim):
+        """A datagram of no known wire format is dropped, but never
+        silently: it counts as undecodable and leaves a misdelivery
+        record naming its payload type."""
+        net, m1, m2, s1, s2 = _pair(sim)
+        p2 = m2.launch("b")
+        s2.register(p2, lambda a, m: None)
+        net.send("wh1", "wh2", ("b", {"value": 1.0}))
+        sim.drain()
+        assert s2.stats.dropped_undecodable == 1
+        assert s2.stats.delivered == 0
+        [record] = [r for r in m2.audit if r.kind == RecordKind.MISDELIVERY]
+        assert (record.actor, record.subject) == ("wh1", "wh2")
+        assert record.detail["payload"] == "tuple"
+
+    def test_stray_gossip_counted_and_audited(self, sim):
+        """Gossip reaching a substrate with no mesh node attached is
+        unroutable: counted and audited, not dropped in silence."""
+        net, m1, m2, s1, s2 = _pair(sim)
+        net.send("wh1", "wh2", {"digest": ()}, kind="gossip")
+        sim.drain()
+        assert s2.stats.dropped_unroutable == 1
+        [record] = [r for r in m2.audit if r.kind == RecordKind.MISDELIVERY]
+        assert (record.actor, record.subject) == ("wh1", "wh2")
+        assert record.detail["payload"] == "dict"

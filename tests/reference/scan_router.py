@@ -27,7 +27,6 @@ class ScanRouteBus(MessageBus):
                 yield channel
 
     def _channel_torn_down(self, channel, reason):
-        self._channels_version += 1
         if self._route_depth:
             self._scan_compact = True
             return
