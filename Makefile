@@ -2,14 +2,17 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: verify test lint bench bench-wire bench-audit bench-federation \
-	bench-workers bench-query bench-transport bench-verify \
-	bench-analysis bench-all test-concurrency perfbench ab
+	bench-query bench-transport bench-verify bench-analysis bench-all \
+	perfbench ab
 
 # Tier-1 verification: the whole suite, fail-fast.  The bench smoke
 # list (decision-plane + wire-plane scale benches, with their ratio
 # asserts) is part of the suite, so verify exercises both.  The
 # tracked BENCH_*.json summaries are rewritten only when BENCH_WRITE=1,
-# which the bench* targets below set.
+# which the bench* targets below set.  Wall-clock ratio asserts gate
+# only when their module runs alone (as under the bench-* targets) or
+# when BENCH_STRICT=1; BENCH_STRICT=0 demotes them to report-only
+# (benchmarks/conftest.py).
 verify:
 	$(PYTHON) -m pytest -x -q
 
@@ -49,12 +52,6 @@ bench-audit:
 bench-federation:
 	BENCH_WRITE=1 $(PYTHON) -m pytest benchmarks/test_scale_federation.py -q -s
 
-# Worker-plane bench: enforcing-publish throughput at 1/4/16 real worker
-# threads on shared vs. disjoint tag working sets; regenerates
-# BENCH_worker_scaling.json.
-bench-workers:
-	BENCH_WRITE=1 $(PYTHON) -m pytest benchmarks/test_scale_workers.py -q -s
-
 # Query-plane bench: tiered (spill) append throughput vs all-in-memory,
 # index-probe selectivity, cold verification and cross-tier identity at
 # 10^6 records; regenerates BENCH_audit_query.json.  Scale down with
@@ -66,16 +63,14 @@ bench-query:
 # enforcing ring publish at 2/8/16 machines and mesh convergence under
 # streaming load at 16/32 substrates; regenerates BENCH_transport.json.
 # Scale down with TRANSPORT_BENCH_MSGS / TRANSPORT_BENCH_LOAD and
-# demote the wall-clock gates with TRANSPORT_BENCH_STRICT=0 for smoke.
+# demote the wall-clock gates with BENCH_STRICT=0 for smoke.
 bench-transport:
 	BENCH_WRITE=1 $(PYTHON) -m pytest benchmarks/test_scale_transport.py -q -s
 
-# Verification-plane bench: parallel deep verify vs serial, and
-# steady-state incremental (watermark-cursor) verify vs full recompute
-# at 10^6 records; regenerates BENCH_audit_verify.json.  Scale down
-# with VERIFY_BENCH_RECORDS=20000 and demote the wall-clock gates with
-# VERIFY_BENCH_STRICT=0 for smoke (the parallel gate also self-demotes
-# below 4 CPUs).
+# Verification-plane bench: steady-state incremental (watermark-cursor)
+# verify vs a full deep recompute at 10^6 records; regenerates
+# BENCH_audit_verify.json.  Scale down with VERIFY_BENCH_RECORDS=20000
+# and demote the wall-clock gate with BENCH_STRICT=0 for smoke.
 bench-verify:
 	BENCH_WRITE=1 $(PYTHON) -m pytest benchmarks/test_scale_verify.py -q -s -p no:randomly
 
@@ -104,11 +99,6 @@ WORKLOAD ?= ward_stream
 PAIRS ?= 10
 ab:
 	$(PYTHON) scripts/ab_pairs.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
-
-# The real-thread stress tests of the contention-proofed planes
-# (audit-spine ring drains, parallel deep verify).
-test-concurrency:
-	$(PYTHON) -m pytest -m concurrency -q
 
 # The full figure/scale benchmark suite.
 bench-all:

@@ -8,7 +8,8 @@ multi-domain offload/merge cost; then the audit spine against the
 synchronous hash-chain append it replaced on the delivery path, across
 1/4/16 emitting sources.  A machine-readable summary goes to
 ``BENCH_audit_plane.json``.  Target: ≥3x on the audited publish/deliver
-hot path versus synchronous chaining.
+hot path versus synchronous chaining.  The wall-clock ratio asserts gate
+per ``strict_gate`` in ``benchmarks/conftest.py``.
 """
 
 import gc
@@ -32,12 +33,6 @@ _results = {}
 #: (AUDIT_BENCH_RECORDS=4000) so the bench stays a smoke test on shared
 #: runners; the ratio asserts hold at both scales.
 SAP_RECORDS = int(os.environ.get("AUDIT_BENCH_RECORDS", "20000"))
-
-#: AUDIT_BENCH_STRICT=0 demotes the wall-clock ratio asserts to
-#: report-only (CI smoke on shared runners, where timing ratios are
-#: nondeterministic); the functional asserts — verify, counts, receipts
-#: — always gate.
-SAP_STRICT = os.environ.get("AUDIT_BENCH_STRICT", "1") != "0"
 
 
 def filled_log(n: int) -> AuditLog:
@@ -137,7 +132,7 @@ def _spine_fill(n_records, n_sources):
 
 
 @pytest.mark.parametrize("n_sources", [1, 4, 16])
-def test_sap_emission_off_the_delivery_path(report, n_sources):
+def test_sap_emission_off_the_delivery_path(report, strict_gate, n_sources):
     """The audited hot path: staged spine emission vs the synchronous
     hash-chain append every enforcement site used to run per record."""
     n = SAP_RECORDS
@@ -166,10 +161,11 @@ def test_sap_emission_off_the_delivery_path(report, n_sources):
         emit=f"{emit_s*1e3:.0f}ms",
         drain_offline=f"{drain_s*1e3:.0f}ms",
         speedup=f"{speedup:.1f}x",
+        gate=">=3.0x" if strict_gate else "report-only",
     )
     # The acceptance bar: >=3x with emission staged off the delivery
     # path (measured ~6-7x; the margin absorbs jitter).
-    assert not SAP_STRICT or speedup >= 3.0
+    assert not strict_gate or speedup >= 3.0
 
 
 def _fanout_bus(audit, n_sinks):
@@ -190,7 +186,7 @@ def _fanout_bus(audit, n_sinks):
     return bus, sensor
 
 
-def test_sap_publish_deliver_end_to_end(report):
+def test_sap_publish_deliver_end_to_end(report, strict_gate):
     """Whole-bus fan-out with per-delivery audit: spine-backed vs a
     synchronous log.  End-to-end includes routing/quench/cache work the
     spine cannot touch, so the ratio sits below the pure-emission one."""
@@ -229,8 +225,9 @@ def test_sap_publish_deliver_end_to_end(report):
         sync=f"{sync_s*1e3:.0f}ms",
         spine=f"{spine_s*1e3:.0f}ms",
         speedup=f"{speedup:.2f}x",
+        gate=">1.5x" if strict_gate else "report-only",
     )
-    assert not SAP_STRICT or speedup > 1.5
+    assert not strict_gate or speedup > 1.5
 
 
 def test_sap_guarantees_survive_drain_checkpoint_prune(report):

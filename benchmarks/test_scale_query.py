@@ -38,27 +38,12 @@ _state = {}
 #: hold at both scales.
 QUERY_RECORDS = int(os.environ.get("QUERY_BENCH_RECORDS", "1000000"))
 
-#: QUERY_BENCH_STRICT=0 demotes the wall-clock ratio asserts to
-#: report-only, =1 forces them.  Unset means *auto*: strict when this
-#: module runs alone (``make bench-query``), report-only when it shares
-#: a session with other modules — the append gate compares two fills
-#: whose cost is partly generational-GC work over their own live
-#: records, and the long-lived heaps earlier modules leave behind shift
-#: that cadence enough to swamp a 10% bound.  The functional asserts —
-#: result identity, probe accounting, verification — always gate.
-_STRICT_ENV = os.environ.get("QUERY_BENCH_STRICT")
-
-
-@pytest.fixture(scope="module")
-def strict_gate(request):
-    """Whether the wall-clock ratio asserts gate this session."""
-    if _STRICT_ENV is not None:
-        return _STRICT_ENV != "0"
-    here = os.path.realpath(__file__)
-    return all(
-        os.path.realpath(str(item.fspath)) == here
-        for item in request.session.items
-    )
+#: The wall-clock ratio asserts gate per ``strict_gate`` in
+#: ``benchmarks/conftest.py``: the append gate compares two fills whose
+#: cost is partly generational-GC work over their own live records, so
+#: heaps earlier modules leave behind can swamp its 10% bound.  The
+#: functional asserts — result identity, probe accounting, verification
+#: — always gate.
 
 SOURCES = 4
 #: Seal cadence scaled so both full and smoke runs seal O(100) segments.

@@ -27,9 +27,9 @@ Summary lands in ``BENCH_transport.json``.
 Env knobs: ``TRANSPORT_BENCH_MSGS`` (ring messages per machine, default
 2000), ``TRANSPORT_BENCH_LOAD`` (load messages per mesh node, default
 1500), ``TRANSPORT_BENCH_REPEATS`` (best-of-N timing runs, default 3),
-``TRANSPORT_BENCH_STRICT`` (0 demotes the wall-clock ratio gates to
-report-only, 1 forces them; unset = strict only when the module runs
-alone — see ``strict_gate``).
+``BENCH_STRICT`` (0 demotes the wall-clock ratio gates to report-only,
+1 forces them; unset = strict only when the module runs alone — see
+``strict_gate`` in ``benchmarks/conftest.py``).
 """
 
 import os
@@ -47,33 +47,16 @@ _results = {}
 
 N_MSGS = int(os.environ.get("TRANSPORT_BENCH_MSGS", "2000"))
 LOAD_MSGS = int(os.environ.get("TRANSPORT_BENCH_LOAD", "1500"))
-#: TRANSPORT_BENCH_STRICT=0 demotes the wall-clock ratio gates to
-#: report-only, =1 forces them.  Unset means *auto*: strict when this
-#: module runs alone (``make bench-transport``), report-only when it
-#: shares a pytest session — the long-lived heaps earlier modules
-#: leave behind shift GC cadence enough to swamp a 2x bound (same
-#: policy as the query-plane bench).  The functional asserts —
-#: delivery counts, masked counts, batch accounting, equal gossip
-#: rounds — always gate.
-_STRICT_ENV = os.environ.get("TRANSPORT_BENCH_STRICT")
+#: The wall-clock ratio gates follow ``strict_gate`` in
+#: ``benchmarks/conftest.py``.  The functional asserts — delivery
+#: counts, masked counts, batch accounting, equal gossip rounds —
+#: always gate.
 #: Wall-clock ratios are gated on the best of N fresh-world runs per
 #: arm — single-shot timings on a busy box are too noisy to gate on.
 REPEATS = int(os.environ.get("TRANSPORT_BENCH_REPEATS", "5"))
 CHUNK = 64  # messages per send_batch call / outbox max_batch
 
 REPORT = MessageType.simple("tp-report", value=float)
-
-
-@pytest.fixture(scope="module")
-def strict_gate(request):
-    """Whether the wall-clock ratio asserts gate this session."""
-    if _STRICT_ENV is not None:
-        return _STRICT_ENV != "0"
-    here = os.path.realpath(__file__)
-    return all(
-        os.path.realpath(str(item.fspath)) == here
-        for item in request.session.items
-    )
 
 
 def _ring(n_machines, coalesced, name, seed=7):

@@ -1,20 +1,14 @@
 """AVP — the audit verification plane (docs/audit_storage.md).
 
 Measured at a million records (VERIFY_BENCH_RECORDS; CI smoke runs set
-it lower): parallel deep verification fanning independent cold segments
-across a thread pool versus the serial sweep, and steady-state
-incremental verification riding watermark cursors versus a full
-recompute.  The functional gates — tamper detection in both modes,
-parallel/serial accounting identity — always assert; the wall-clock
-ratio gates follow the query/transport bench policy (strict only when
-the module runs alone, VERIFY_BENCH_STRICT overrides) and the parallel
-gate additionally demotes to report-only on machines with fewer than 4
-CPUs, where a thread-pool wall-clock win is physically unavailable.
-A machine-readable summary goes to ``BENCH_audit_verify.json``.
+it lower): steady-state incremental verification riding watermark
+cursors versus a full deep recompute.  The functional gate — tamper
+detection in both modes — always asserts; the wall-clock ratio gate
+follows ``strict_gate`` in ``benchmarks/conftest.py``.  A
+machine-readable summary goes to ``BENCH_audit_verify.json``.
 """
 
 import gc
-import json
 import os
 import shutil
 import tempfile
@@ -38,35 +32,6 @@ _state = {}
 #: (VERIFY_BENCH_RECORDS=20000); the functional asserts hold at both
 #: scales.
 VERIFY_RECORDS = int(os.environ.get("VERIFY_BENCH_RECORDS", "1000000"))
-
-#: Thread-pool width for the parallel deep sweep.
-VERIFY_WORKERS = int(os.environ.get("VERIFY_BENCH_WORKERS", "8"))
-
-#: VERIFY_BENCH_STRICT=0 demotes the wall-clock ratio asserts to
-#: report-only, =1 forces them.  Unset means *auto*: strict when this
-#: module runs alone (``make bench-verify``), report-only when it
-#: shares a session with other modules.  Independently of that, the
-#: parallel-speedup gate demotes itself when the machine has fewer than
-#: 4 CPUs: cold verification is per-record ``sha256`` over small
-#: buffers, which holds the GIL (CPython only releases it for >=2KiB
-#: digests), so the pool's win comes from overlapping spill-file reads
-#: with hashing — real, but bounded, and unobservable without cores.
-_STRICT_ENV = os.environ.get("VERIFY_BENCH_STRICT")
-
-CPUS = os.cpu_count() or 1
-
-
-@pytest.fixture(scope="module")
-def strict_gate(request):
-    """Whether the wall-clock ratio asserts gate this session."""
-    if _STRICT_ENV is not None:
-        return _STRICT_ENV != "0"
-    here = os.path.realpath(__file__)
-    return all(
-        os.path.realpath(str(item.fspath)) == here
-        for item in request.session.items
-    )
-
 
 SOURCES = 4
 #: Seal cadence scaled so both full and smoke runs seal O(100) segments.
@@ -136,66 +101,17 @@ def _corpus():
     return _state["spine"]
 
 
-def test_avp_parallel_deep_verify(report, strict_gate):
-    """Deep mode stays authoritative and goes parallel: independent
-    sealed/cold segments fan across a thread pool.  Acceptance:
-    >=2.5x over serial at VERIFY_WORKERS threads — gated only on
-    machines with the cores to show it (see module docstring)."""
-    spine = _corpus()
-    gc.collect()
-
-    start = time.perf_counter()
-    serial = spine.verify_strict(deep=True, workers=1)
-    serial_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    fanned = spine.verify_strict(deep=True, workers=VERIFY_WORKERS)
-    parallel_s = time.perf_counter() - start
-
-    # Accounting identity: the fan-out checked exactly the same chain.
-    assert fanned.segments_verified == serial.segments_verified
-    assert fanned.records_verified == serial.records_verified == \
-        VERIFY_RECORDS
-    assert fanned.bytes_hashed == serial.bytes_hashed
-    assert fanned.segments_skipped == serial.segments_skipped == 0
-
-    speedup = serial_s / parallel_s if parallel_s else float("inf")
-    gate_active = bool(strict_gate) and CPUS >= 4
-    reason = None if gate_active else (
-        f"cpu_count={CPUS} < 4" if CPUS < 4 else "shared session"
-    )
-    _results["parallel_deep"] = {
-        "workers": VERIFY_WORKERS,
-        "serial_s": round(serial_s, 4),
-        "parallel_s": round(parallel_s, 4),
-        "speedup": round(speedup, 2),
-        "cpu_count": CPUS,
-        "gate_active": gate_active,
-        "gate_demoted_reason": reason,
-        "segments": serial.segments_verified,
-        "bytes_hashed": serial.bytes_hashed,
-    }
-    report.row(
-        f"deep verify x{VERIFY_WORKERS} workers",
-        serial=f"{serial_s:.2f}s",
-        parallel=f"{parallel_s:.2f}s",
-        speedup=f"{speedup:.2f}x",
-        cpus=CPUS,
-        gate="strict" if gate_active else f"report-only ({reason})",
-    )
-    assert not gate_active or speedup >= 2.5
-
-
 def test_avp_incremental_steady_state(report, strict_gate):
     """Steady-state incremental verification is O(new records):
     watermark cursors skip every deep-checked cold segment.
-    Acceptance: >=25x over the full serial recompute."""
+    Acceptance: >=25x over the full deep recompute."""
     spine = _corpus()
-    serial_s = _results.get("parallel_deep", {}).get("serial_s")
-    if serial_s is None:
-        start = time.perf_counter()
-        spine.verify_strict(deep=True, workers=1)
-        serial_s = time.perf_counter() - start
+    gc.collect()
+    start = time.perf_counter()
+    full = spine.verify_strict(deep=True)
+    serial_s = time.perf_counter() - start
+    assert full.records_verified == VERIFY_RECORDS
+    assert full.segments_skipped == 0
 
     # Let spill-file mtimes age past the racy-stat margin, then one
     # untimed incremental pass records any watermark the deep sweep
@@ -287,8 +203,6 @@ def test_avp_write_summary(report, strict_gate, write_summary):
         "sources": SOURCES,
         "seal_every": SEAL_EVERY,
         "hot_segments": HOT_SEGMENTS,
-        "workers": VERIFY_WORKERS,
-        "cpu_count": CPUS,
         "strict": strict_gate,
     }
     written = write_summary(_SUMMARY, _results)

@@ -14,7 +14,8 @@ This bench measures the repeated-pair path both ways:
 
 A machine-readable summary goes to ``BENCH_wire_masks.json``.  Target:
 ≥2x throughput on the repeated-pair cross-machine path (the hard
-asserts sit below the target so CI jitter cannot flake the suite).
+asserts sit below the target, and gate per ``strict_gate`` in
+``benchmarks/conftest.py``).
 """
 
 import time
@@ -51,7 +52,7 @@ def _tagset_wire_roundtrip(ctx):
 
 
 @pytest.mark.parametrize("n_tags", [8, 32])
-def test_swm_codec_repeated_pair(report, n_tags):
+def test_swm_codec_repeated_pair(report, strict_gate, n_tags):
     """Pure codec cost for the same context pair over and over."""
     tags = [f"swm{n_tags}t{i}" for i in range(n_tags)]
     ctx = SecurityContext.of(tags, tags[: n_tags // 2])
@@ -86,7 +87,7 @@ def test_swm_codec_repeated_pair(report, n_tags):
         masks=f"{mask_rate/1e6:.2f}M/s",
         speedup=f"{speedup:.1f}x",
     )
-    assert speedup > 2.0
+    assert not strict_gate or speedup > 2.0
 
 
 # -- end to end -------------------------------------------------------------------
@@ -141,7 +142,7 @@ def _pairwise_run(n_machines, n_msgs, wire_masks, enforce=True):
     [(2, 1_000), (2, 10_000), (4, 1_000), (8, 1_000)],
     ids=["2m-1k", "2m-10k", "4m-1k", "8m-1k"],
 )
-def test_swm_end_to_end(report, n_machines, n_msgs):
+def test_swm_end_to_end(report, strict_gate, n_machines, n_msgs):
     """The full F9/F10 repeated-pair path, enforcement and audit on.
 
     Best-of-2 per format: wall-clock ratios of second-long runs are
@@ -173,10 +174,10 @@ def test_swm_end_to_end(report, n_machines, n_msgs):
     )
     # Target is ≥2x (observed 2.4-2.9x); the hard assert is only a
     # tripwire, well below the target so CI jitter can't flake the suite.
-    assert speedup > 1.2
+    assert not strict_gate or speedup > 1.2
 
 
-def test_swm_baseline_transfer(report):
+def test_swm_baseline_transfer(report, strict_gate):
     """Enforcement off: isolates the pure transfer+codec win (best-of-2)."""
     mask_rate = max(
         _pairwise_run(2, 5_000, wire_masks=True, enforce=False)[0] for __ in range(2)
@@ -196,7 +197,7 @@ def test_swm_baseline_transfer(report):
         masks=f"{mask_rate/1e3:.1f}k/s",
         speedup=f"{speedup:.2f}x",
     )
-    assert speedup > 2.0
+    assert not strict_gate or speedup > 2.0
 
 
 def test_swm_write_summary(report, write_summary):

@@ -250,7 +250,6 @@ class FederationPinboard:
         self,
         spines,
         mode: Optional[str] = None,
-        workers: Optional[int] = None,
     ) -> Dict[str, str]:
         """Hold each domain's live spine to every pinned position.
 
@@ -279,7 +278,7 @@ class FederationPinboard:
 
         ``mode`` (``None`` by default) optionally adds a *local-chain*
         check per presented spine: ``"incremental"`` or ``"deep"`` runs
-        each spine's own ``verify(mode=..., workers=...)`` and demotes
+        each spine's own ``verify(mode=...)`` and demotes
         an otherwise-clean verdict to ``"tampered"`` when the local
         chain fails.  Pin comparison alone only sees the checkpoint
         chain; the local check catches a record tampered *behind* an
@@ -321,7 +320,7 @@ class FederationPinboard:
                 verify_fn = getattr(spine, "verify", None)
                 if callable(verify_fn):
                     try:
-                        clean = verify_fn(mode=mode, workers=workers)
+                        clean = verify_fn(mode=mode)
                     except TypeError:
                         clean = verify_fn()
                     if not clean:
@@ -360,7 +359,6 @@ class AuditCollector:
         self,
         key: str = "collector-key",
         verify_mode: str = "incremental",
-        verify_workers: Optional[int] = None,
     ):
         self._key = key
         #: How submitted chains are verified before acceptance.
@@ -369,7 +367,6 @@ class AuditCollector:
         #: changed; ``"deep"`` recomputes everything each time.  Either
         #: mode rejects every tamper class (``docs/audit_storage.md``).
         self.verify_mode = verify_mode
-        self.verify_workers = verify_workers
         self._segments: Dict[str, List[AuditRecord]] = {}
         self._rejected: Set[str] = set()
         self._receipts: List[OffloadReceipt] = []
@@ -398,9 +395,7 @@ class AuditCollector:
         O(history).
         """
         try:
-            accepted = log.verify(
-                mode=self.verify_mode, workers=self.verify_workers
-            )
+            accepted = log.verify(mode=self.verify_mode)
         except TypeError:
             # A duck-typed sink predating the verification plane.
             accepted = log.verify()

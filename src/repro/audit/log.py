@@ -233,21 +233,16 @@ class AuditLog(RecorderMixin):
         pending.clear()
         return flushed
 
-    def verify(
-        self,
-        mode: str = "deep",
-        workers: Optional[int] = None,
-    ) -> bool:
+    def verify(self, mode: str = "deep") -> bool:
         """Recompute the whole chain; True iff untampered.
 
         Raises nothing — audit tooling wants a boolean; use
         :meth:`verify_strict` to get the failing position.
 
-        ``mode`` and ``workers`` exist for :class:`AuditSink` signature
-        compatibility with the spine's verification plane; a flat log is
-        one unsegmented in-memory chain, so every call is a full serial
-        recompute regardless (there are no immutable cold segments to
-        watermark or fan out).
+        ``mode`` exists for :class:`AuditSink` signature compatibility
+        with the spine's verification plane; a flat log is one
+        unsegmented in-memory chain, so every call is a full recompute
+        regardless (there are no immutable cold segments to watermark).
         """
         _deep_of(mode)  # validates the mode; a flat log always re-hashes
         try:
@@ -256,14 +251,10 @@ class AuditLog(RecorderMixin):
         except IntegrityViolation:
             return False
 
-    def verify_strict(
-        self,
-        deep: bool = True,
-        workers: Optional[int] = None,
-    ) -> None:
+    def verify_strict(self, deep: bool = True) -> None:
         """Recompute the chain, raising on the first mismatch.
 
-        ``deep`` and ``workers`` are accepted for signature parity with
+        ``deep`` is accepted for signature parity with
         :meth:`~repro.audit.spine.AuditSpine.verify_strict` and ignored:
         a flat log always recomputes everything.
         """

@@ -64,26 +64,21 @@ def _make_encoder():
     if c_make_encoder is None:
         return encoder.encode
 
-    def build():
-        return c_make_encoder(
-            {}, encoder.default, json.encoder.encode_basestring_ascii,
-            None, ":", ",", True, False, True,
-        )
-
-    c_encode = build()
+    # The circular check's markers: container ids the encode is inside.
+    markers: Dict[int, Any] = {}
+    c_encode = c_make_encoder(
+        markers, encoder.default, json.encoder.encode_basestring_ascii,
+        None, ":", ",", True, False, True,
+    )
 
     def encode(o: Any) -> str:
-        nonlocal c_encode
         try:
             return "".join(c_encode(o, 0))
         except BaseException:
             # A failed encode leaves the ids of the containers it was
-            # inside in the encoder's circular-reference markers, where
-            # a later object reusing one of those ids would read as
-            # circular.  Start from fresh markers — a new encoder rather
-            # than a cleared dict, so an encode running in another
-            # thread keeps its own entries.
-            c_encode = build()
+            # inside in the markers, where a later object reusing one of
+            # those ids would read as circular.
+            markers.clear()
             raise
 
     return encode

@@ -119,20 +119,14 @@ class AuditSink(Protocol):
         """Fold any deferred records into the chain; returns how many."""
         ...
 
-    def verify(
-        self,
-        mode: str = ...,  # type: ignore[assignment]
-        workers: Optional[int] = None,
-    ) -> bool:
+    def verify(self, mode: str = ...) -> bool:  # type: ignore[assignment]
         """Recompute every chain; True iff untampered.
 
         ``mode`` is ``"incremental"`` (skip cold segments behind an
         intact verified watermark — spines default to this) or
         ``"deep"`` (full recompute — flat logs always do this
-        regardless).  ``workers`` fans independent segments across a
-        thread pool where the sink is segmented; both knobs are
-        accepted everywhere so callers can pass them blind.  Every
-        tamper class is detected in either mode — see the
+        regardless); it is accepted everywhere so callers can pass it
+        blind.  Every tamper class is detected in either mode — see the
         verification-modes section of ``docs/audit_storage.md``.
         """
         ...

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 import time
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
@@ -156,11 +155,11 @@ class SpineEmitter(RecorderMixin):
     def checkpoint(self) -> Optional[AuditRecord]:
         return self.spine.checkpoint()
 
-    def verify(self, mode: str = "incremental", workers=None) -> bool:
-        return self.spine.verify(mode=mode, workers=workers)
+    def verify(self, mode: str = "incremental") -> bool:
+        return self.spine.verify(mode=mode)
 
-    def verify_strict(self, deep: bool = False, workers=None):
-        return self.spine.verify_strict(deep=deep, workers=workers)
+    def verify_strict(self, deep: bool = False):
+        return self.spine.verify_strict(deep=deep)
 
     def verify_stats(self) -> Dict:
         return self.spine.verify_stats()
@@ -221,17 +220,6 @@ class AuditSpine(RecorderMixin):
     (``head_digest``, offload) forces one.  Staged records are
     immediately visible to ``records()`` / iteration, exactly like
     buffered ``AuditLog`` appends.
-
-    Concurrency (``docs/worker_plane.md``): emission and maintenance
-    may race.  Each source stages into its *own* ring (per-worker
-    ``SpineEmitter`` sources are the whole point of the staged design:
-    one writer per ring, list appends are atomic), sequence numbers come
-    from an atomic counter, and :meth:`drain` snapshots each ring's
-    cursor — it chains exactly the records staged when it looked,
-    removes exactly that prefix, and leaves anything a racing emitter
-    appended meanwhile for the next drain.  Nothing is ever lost or
-    double-chained.  Drain, checkpoint, verify, prune and export
-    serialise on one maintenance lock; emission never takes it.
     """
 
     def __init__(
@@ -245,8 +233,7 @@ class AuditSpine(RecorderMixin):
         self._clock = clock or (lambda: 0.0)
         self.ring_capacity = max(1, ring_capacity)
         self.checkpoint_every = max(1, checkpoint_every)
-        #: Per-source staging rings: one writer (worker) per ring keeps
-        #: emission contention-free; drains snapshot ring cursors.
+        #: Per-source staging rings, each in emission order.
         self._staged: Dict[str, List[AuditRecord]] = {}
         #: Set by :meth:`emit` after each append, cleared by
         #: :meth:`drain`: a clock tick with nothing staged is one check,
@@ -260,9 +247,6 @@ class AuditSpine(RecorderMixin):
         )
         self._emitters: Dict[str, SpineEmitter] = {}
         self._seq = itertools.count()
-        # Reentrant: checkpoint() drains, verify drains, drain may
-        # checkpoint — all off the emission path.
-        self._maint = threading.RLock()
         # The checkpoint chain is itself an AuditSegment — same chain,
         # rebase-on-prune and verify machinery as the record shards.
         self._ckpt = AuditSegment(
@@ -298,8 +282,7 @@ class AuditSpine(RecorderMixin):
         self._actors: Set[str] = set()
         self.stats_drains = 0
         self.stats_checkpoints = 0
-        #: Drains forced inline by a ring reaching capacity — the
-        #: back-pressure signal the per-worker rollup reports.
+        #: Drains forced inline by a ring reaching capacity.
         self.stats_ring_overflows = 0
 
     def __repr__(self) -> str:
@@ -340,33 +323,21 @@ class AuditSpine(RecorderMixin):
     ) -> AuditRecord:
         """Stage one record under ``source``.  The delivery-path cost is
         record construction plus a list append onto the source's own
-        ring — no serialisation, no hashing, no lock; those happen at
-        :meth:`drain`.  Sources are single-writer: each concurrent
-        worker binds its own emitter source, so a ring's append order is
-        its emission order."""
+        ring — no serialisation, no hashing; those happen at
+        :meth:`drain`."""
         record = AuditRecord(
             next(self._seq), self._clock(), kind, actor, subject,
             dict(detail) if detail else {}, source_context, target_context,
         )
         ring = self._staged.get(source)
         if ring is None:
-            ring = self._ring(source)
+            ring = self._staged[source] = []
         ring.append(record)
         self._dirty = True
         if len(ring) >= self.ring_capacity:
             self.stats_ring_overflows += 1
             self.drain()
         return record
-
-    def _ring(self, source: str) -> List[AuditRecord]:
-        """Create (or fetch) the staging ring for ``source``.
-
-        Ring creation is the one emission-path step that must
-        coordinate (two sources appearing at once), so it takes the
-        maintenance lock — once, per source, ever.
-        """
-        with self._maint:
-            return self._staged.setdefault(source, [])
 
     def append(
         self,
@@ -408,15 +379,14 @@ class AuditSpine(RecorderMixin):
         Chains, digests, checkpoints, receipts and pinboard verdicts are
         unaffected — only where record bytes live changes.
         """
-        with self._maint:
-            self._store.configure_spill(
-                path, hot_segments=hot_segments, seal_every=seal_every
-            )
+        self._store.configure_spill(
+            path, hot_segments=hot_segments, seal_every=seal_every
+        )
 
     @property
     def pending(self) -> int:
         """Records staged but not yet chained into their segment."""
-        return sum(len(ring) for ring in list(self._staged.values()))
+        return sum(len(ring) for ring in self._staged.values())
 
     def drain(self) -> int:
         """Fold every staged record into its source's segment chain.
@@ -424,51 +394,31 @@ class AuditSpine(RecorderMixin):
         Returns the number of records drained.  Idempotent — draining
         empty rings is a no-op and does not advance the checkpoint
         cadence.
-
-        Safe while emitters append: per ring, the drain snapshots the
-        cursor (the ring's length at the moment it looks), chains
-        exactly that prefix, and truncates exactly that prefix — a
-        record a racing worker staged mid-drain stays in the ring for
-        the next drain rather than being dropped by a wholesale
-        ``clear()``.
         """
-        with self._maint:
-            drained = 0
-            store = self._store
-            actors = self._actors
-            # Cleared *before* any cursor is snapshotted: emit sets the
-            # flag *after* its append, so an append this drain's
-            # snapshot misses sets the flag again after this clear, and
-            # the next tick drains it.  At worst a flag outlives its
-            # record (appended before the snapshot, flagged after the
-            # clear), and the next tick runs an empty drain, which
-            # counts nothing.
-            self._dirty = False
-            for source, ring in list(self._staged.items()):
-                # Cursor snapshot: appends past `n` belong to the next
-                # drain.  ring[:n] copies the prefix; `del ring[:n]` is
-                # one atomic list op, so a concurrent append can only
-                # land beyond the deleted slice.
-                n = len(ring)
-                if not n:
-                    continue
-                seg = store.tail(source)
-                for record in ring[:n]:
-                    seg.chain(record)
-                    actors.add(record.actor)
-                del ring[:n]
-                drained += n
-                # Seal/demote off the emission path, while we hold the
-                # maintenance lock and the tail is fresh in cache.
-                store.maybe_seal(source)
-            if not drained:
-                return 0
-            self._chained_records += drained
-            self.stats_drains += 1
-            self._drains_since_checkpoint += 1
-            if self._drains_since_checkpoint >= self.checkpoint_every:
-                self.checkpoint()
-            return drained
+        drained = 0
+        store = self._store
+        actors = self._actors
+        self._dirty = False
+        for source, ring in self._staged.items():
+            if not ring:
+                continue
+            seg = store.tail(source)
+            for record in ring:
+                seg.chain(record)
+                actors.add(record.actor)
+            drained += len(ring)
+            ring.clear()
+            # Seal/demote off the emission path, while the tail is
+            # fresh in cache.
+            store.maybe_seal(source)
+        if not drained:
+            return 0
+        self._chained_records += drained
+        self.stats_drains += 1
+        self._drains_since_checkpoint += 1
+        if self._drains_since_checkpoint >= self.checkpoint_every:
+            self.checkpoint()
+        return drained
 
     def flush(self) -> int:
         """AuditLog-compatible alias for :meth:`drain`."""
@@ -502,41 +452,38 @@ class AuditSpine(RecorderMixin):
         observers do not inflate the chain).  Checkpoint records carry,
         per source, the segment's absolute head position and head digest
         — :meth:`verify` later holds every retained segment to them.
-        Safe to call while emitters append (maintenance lock; the heads
-        it pins are the post-drain heads of the records it could see).
         """
-        with self._maint:
-            self.drain()
-            if not self._store.tails:
-                # A spine that never recorded anything has nothing to
-                # pin — head_digest stays at genesis, like an empty log.
-                return None
-            if (
-                self._chained_records == self._chained_at_last_checkpoint
-                and self._ckpt.total
-            ):
-                return None
-            heads = {}
-            counts = {}
-            for source in self._store.sources():
-                heads[source] = self._store.head(source)
-                counts[source] = self._store.total(source)
-            # Checkpoints number their own chain: record seqs must track
-            # the event stream exactly (a spine and a plain log fed the
-            # same events stay seq-identical).
-            record = AuditRecord(
-                seq=self._ckpt.total,
-                timestamp=self._clock(),
-                kind=RecordKind.CHECKPOINT,
-                actor=self.name,
-                subject="",
-                detail={"heads": heads, "counts": counts},
-            )
-            self._ckpt.chain(record)
-            self._chained_at_last_checkpoint = self._chained_records
-            self._drains_since_checkpoint = 0
-            self.stats_checkpoints += 1
-            return record
+        self.drain()
+        if not self._store.tails:
+            # A spine that never recorded anything has nothing to
+            # pin — head_digest stays at genesis, like an empty log.
+            return None
+        if (
+            self._chained_records == self._chained_at_last_checkpoint
+            and self._ckpt.total
+        ):
+            return None
+        heads = {}
+        counts = {}
+        for source in self._store.sources():
+            heads[source] = self._store.head(source)
+            counts[source] = self._store.total(source)
+        # Checkpoints number their own chain: record seqs must track
+        # the event stream exactly (a spine and a plain log fed the
+        # same events stay seq-identical).
+        record = AuditRecord(
+            seq=self._ckpt.total,
+            timestamp=self._clock(),
+            kind=RecordKind.CHECKPOINT,
+            actor=self.name,
+            subject="",
+            detail={"heads": heads, "counts": counts},
+        )
+        self._ckpt.chain(record)
+        self._chained_at_last_checkpoint = self._chained_records
+        self._drains_since_checkpoint = 0
+        self.stats_checkpoints += 1
+        return record
 
     @property
     def head_digest(self) -> str:
@@ -571,13 +518,12 @@ class AuditSpine(RecorderMixin):
     # -- reading (AuditLog-compatible) -------------------------------------
 
     def _merged(self) -> List[AuditRecord]:
-        # Each source's records are seq-ascending (single-writer
-        # sources), and everything staged was emitted after everything
-        # drained in its own source — a k-way merge rebuilds the stream
-        # in O(n), no sort.  Lists are snapshotted so racing
-        # appends/drains cannot shift them mid-merge.  Cold segments are
-        # loaded on demand here: full iteration is the one read that
-        # genuinely needs every record (query() is the tier-aware path).
+        # Each source's records are seq-ascending, and everything
+        # staged was emitted after everything drained in its own source
+        # — a k-way merge rebuilds the stream in O(n), no sort.  Cold
+        # segments are loaded on demand here: full iteration is the one
+        # read that genuinely needs every record (query() is the
+        # tier-aware path).
         streams = [
             records
             for records in (
@@ -586,11 +532,7 @@ class AuditSpine(RecorderMixin):
             )
             if records
         ]
-        staged = [
-            record
-            for ring in list(self._staged.values())
-            for record in list(ring)
-        ]
+        staged = [record for ring in self._staged.values() for record in ring]
         if staged:
             staged.sort(key=lambda r: r.seq)
             streams.append(staged)
@@ -652,55 +594,54 @@ class AuditSpine(RecorderMixin):
         :class:`~repro.audit.query.QueryStats` as ``stats`` to observe
         the probe/scan accounting.
         """
-        with self._maint:
-            self.drain()  # staged records are part of the stream
-            kind_value = kind.value if kind is not None else None
-            # One list of candidate records per chunk read: the whole
-            # chunk, or just the records its posting lists name.
-            reads: List[List[AuditRecord]] = []
-            store = self._store
-            for source in store.sources():
-                for chunk in store.sealed.get(source, ()):
-                    if stats is not None:
-                        stats.segments_total += 1
-                    if not chunk.index.may_match(
-                        kind_value, actor, subject, entity, tag, since, until
-                    ):
-                        if stats is not None:
-                            stats.segments_skipped += 1
-                        continue
-                    if stats is not None:
-                        stats.segments_scanned += 1
-                    if chunk.is_cold:
-                        store.stats_cold_loads += 1
-                        if stats is not None:
-                            stats.cold_loads += 1
-                    offsets = chunk.index.candidates(actor, subject, entity)
-                    reads.append(
-                        chunk.records() if offsets is None
-                        else chunk.records_at(offsets)
-                    )
-                # The open tail's postings catch up from their cursor.
-                tail = store.tails[source]
-                offsets = tail.candidates(actor, subject, entity)
-                records = tail.records
-                reads.append(
-                    list(records) if offsets is None
-                    else [records[i] for i in offsets]
-                )
-            matched: List[AuditRecord] = []
-            for records in reads:
+        self.drain()  # staged records are part of the stream
+        kind_value = kind.value if kind is not None else None
+        # One list of candidate records per chunk read: the whole
+        # chunk, or just the records its posting lists name.
+        reads: List[List[AuditRecord]] = []
+        store = self._store
+        for source in store.sources():
+            for chunk in store.sealed.get(source, ()):
                 if stats is not None:
-                    stats.records_scanned += len(records)
-                matched.extend(
-                    record for record in records
-                    if record_matches(
-                        record, kind, actor, subject, entity, tag,
-                        since, until,
-                    )
+                    stats.segments_total += 1
+                if not chunk.index.may_match(
+                    kind_value, actor, subject, entity, tag, since, until
+                ):
+                    if stats is not None:
+                        stats.segments_skipped += 1
+                    continue
+                if stats is not None:
+                    stats.segments_scanned += 1
+                if chunk.is_cold:
+                    store.stats_cold_loads += 1
+                    if stats is not None:
+                        stats.cold_loads += 1
+                offsets = chunk.index.candidates(actor, subject, entity)
+                reads.append(
+                    chunk.records() if offsets is None
+                    else chunk.records_at(offsets)
                 )
-            matched.sort(key=lambda r: r.seq)
-            return matched
+            # The open tail's postings catch up from their cursor.
+            tail = store.tails[source]
+            offsets = tail.candidates(actor, subject, entity)
+            records = tail.records
+            reads.append(
+                list(records) if offsets is None
+                else [records[i] for i in offsets]
+            )
+        matched: List[AuditRecord] = []
+        for records in reads:
+            if stats is not None:
+                stats.records_scanned += len(records)
+            matched.extend(
+                record for record in records
+                if record_matches(
+                    record, kind, actor, subject, entity, tag,
+                    since, until,
+                )
+            )
+        matched.sort(key=lambda r: r.seq)
+        return matched
 
     def denials(self) -> List[AuditRecord]:
         """All denied flows/accesses — the compliance hot list."""
@@ -713,12 +654,11 @@ class AuditSpine(RecorderMixin):
     def segment_heads(self) -> Dict[str, Tuple[int, str]]:
         """Per-source ``(absolute position, head digest)`` — the offload
         receipt material (drains first so heads are current)."""
-        with self._maint:
-            self.drain()
-            return {
-                source: (self._store.total(source), self._store.head(source))
-                for source in self._store.sources()
-            }
+        self.drain()
+        return {
+            source: (self._store.total(source), self._store.head(source))
+            for source in self._store.sources()
+        }
 
     def known_actors(self) -> Set[str]:
         """Every actor that ever emitted here, surviving pruning.
@@ -726,9 +666,7 @@ class AuditSpine(RecorderMixin):
         Distributed gap detection uses this to avoid flagging a
         component as silent when its records were merely pruned."""
         staged = {
-            record.actor
-            for ring in list(self._staged.values())
-            for record in list(ring)
+            record.actor for ring in self._staged.values() for record in ring
         }
         return self._actors | staged
 
@@ -741,7 +679,6 @@ class AuditSpine(RecorderMixin):
     def verify(
         self,
         mode: str = "incremental",
-        workers: Optional[int] = None,
     ) -> bool:
         """True iff every segment chain, the checkpoint chain, and every
         retained checkpoint's segment-head bindings hold.
@@ -750,20 +687,14 @@ class AuditSpine(RecorderMixin):
         verified watermark is intact; ``mode="deep"`` recomputes
         everything.  Both modes detect every tamper class — see the
         verification-modes section of ``docs/audit_storage.md``.
-        ``workers`` fans independent segment recomputations across a
-        thread pool.
         """
         try:
-            self.verify_strict(deep=_deep_of(mode), workers=workers)
+            self.verify_strict(deep=_deep_of(mode))
             return True
         except IntegrityViolation:
             return False
 
-    def verify_strict(
-        self,
-        deep: bool = False,
-        workers: Optional[int] = None,
-    ) -> VerifyStats:
+    def verify_strict(self, deep: bool = False) -> VerifyStats:
         """Verify the whole spine, raising on the first mismatch.
 
         Drains first (staged records must be chained to be checkable).
@@ -771,10 +702,7 @@ class AuditSpine(RecorderMixin):
         pins each segment: a segment truncated below a checkpointed
         position — or whose digest at that position changed — fails
         here, which is the cross-segment guarantee a single shared chain
-        used to give for free.  Runs under the maintenance lock, so a
-        concurrent drain cannot move segment heads mid-verification —
-        records emitters stage *during* the verify simply aren't part of
-        the history being checked yet.
+        used to give for free.
 
         ``deep=True`` recomputes every chunk and every checkpoint
         binding unconditionally (the historical behaviour, still the
@@ -784,19 +712,8 @@ class AuditSpine(RecorderMixin):
         covered by an intact watermark.  Returns the pass's
         :class:`~repro.audit.verify.VerifyStats`.
         """
-        with self._maint:
-            return self._verify_locked(deep=deep, workers=workers)
-
-    def _verify_locked(
-        self,
-        deep: bool = True,
-        workers: Optional[int] = None,
-    ) -> VerifyStats:
         started = time.perf_counter()
-        stats = VerifyStats(
-            mode="deep" if deep else "incremental",
-            workers=max(1, workers or 1),
-        )
+        stats = VerifyStats(mode="deep" if deep else "incremental")
         self.last_verify_stats = stats
         try:
             self.drain()
@@ -804,7 +721,7 @@ class AuditSpine(RecorderMixin):
             # spilled — including the continuity joins at segment
             # boundaries (incremental mode skips watermarked cold
             # chunks; the joins are always checked).
-            self._store.verify(deep=deep, workers=workers, stats=stats)
+            self._store.verify(deep=deep, stats=stats)
             # The checkpoint chain itself is hot in-memory state: always
             # recomputed in full, in either mode.
             stats.bytes_hashed += self._ckpt.verify()
@@ -872,15 +789,14 @@ class AuditSpine(RecorderMixin):
         chain the spine has recomputed versus skipped over its lifetime,
         plus the most recent pass in full.
         """
-        with self._maint:
-            rollup = dict(self._verify_cum)
-            rollup["verifies"] = self.stats_verifies
-            rollup["last"] = (
-                self.last_verify_stats.to_dict()
-                if self.last_verify_stats is not None
-                else None
-            )
-            return rollup
+        rollup = dict(self._verify_cum)
+        rollup["verifies"] = self.stats_verifies
+        rollup["last"] = (
+            self.last_verify_stats.to_dict()
+            if self.last_verify_stats is not None
+            else None
+        )
+        return rollup
 
     # -- maintenance ---------------------------------------------------------
 
@@ -893,22 +809,21 @@ class AuditSpine(RecorderMixin):
         the same way.  Returns the number of *records* pruned
         (checkpoints are chain metadata, not stream records).
         """
-        with self._maint:
-            self.drain()
-            pruned = self._store.prune_before(timestamp)
-            keep_from = 0
-            checkpoints = self._ckpt.records
-            while (
-                keep_from < len(checkpoints)
-                and checkpoints[keep_from].timestamp < timestamp
-            ):
-                keep_from += 1
-            self._ckpt.prune_prefix(keep_from)
-            # Pruning moves segment bases and the checkpoint chain's
-            # base: the binding watermark no longer describes the
-            # retained history.
-            self._ckpt_bound = None
-            return pruned
+        self.drain()
+        pruned = self._store.prune_before(timestamp)
+        keep_from = 0
+        checkpoints = self._ckpt.records
+        while (
+            keep_from < len(checkpoints)
+            and checkpoints[keep_from].timestamp < timestamp
+        ):
+            keep_from += 1
+        self._ckpt.prune_prefix(keep_from)
+        # Pruning moves segment bases and the checkpoint chain's
+        # base: the binding watermark no longer describes the
+        # retained history.
+        self._ckpt_bound = None
+        return pruned
 
     def demote_before(self, timestamp: float) -> int:
         """Move records older than ``timestamp`` to the cold tier.
@@ -920,15 +835,13 @@ class AuditSpine(RecorderMixin):
         number of records demoted; 0 when no spill tier is configured
         (call :meth:`configure_spill` first).
         """
-        with self._maint:
-            self.drain()
-            return self._store.demote_before(timestamp)
+        self.drain()
+        return self._store.demote_before(timestamp)
 
     def tier_stats(self) -> Dict:
         """Hot/cold tier rollup (record counts, segment counts, spill
         bytes, seal/demotion/cold-load counters, hot-window bounds)."""
-        with self._maint:
-            return self._store.tier_stats()
+        return self._store.tier_stats()
 
     def prune_segment(self, source: str, before: Optional[float] = None) -> int:
         """Prune one segment (wholly, or records before ``before``).
@@ -938,22 +851,19 @@ class AuditSpine(RecorderMixin):
         position, actor memory) survives, so later checkpoints and gap
         detection still account for what was pruned.
         """
-        with self._maint:
-            self.drain()
-            self._ckpt_bound = None
-            return self._store.prune_source(source, before)
+        self.drain()
+        self._ckpt_bound = None
+        return self._store.prune_source(source, before)
 
     def export(self) -> List[Dict]:
         """Serialise records with digests and segment attribution, in
         stream order, for offload to another party (Challenge 6)."""
-        with self._maint:
-            self.drain()
-            return self._store.export_entries()
+        self.drain()
+        return self._store.export_entries()
 
     def export_checkpoints(self) -> List[Dict]:
         """Serialise the checkpoint chain (records + digests)."""
-        with self._maint:
-            return [
-                {"record": r.canonical(), "digest": d}
-                for r, d in zip(self._ckpt.records, self._ckpt.digests)
-            ]
+        return [
+            {"record": r.canonical(), "digest": d}
+            for r, d in zip(self._ckpt.records, self._ckpt.digests)
+        ]

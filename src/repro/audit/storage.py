@@ -56,7 +56,6 @@ import re
 import struct
 import time
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 from pathlib import Path
 from typing import AbstractSet, Callable, Dict, List, Optional, Set, Tuple
@@ -560,10 +559,8 @@ def read_spill_full(path: Path) -> Tuple[bytes, Dict, List[Tuple[str, str]]]:
     ``(raw header bytes, parsed header, entries)``.
 
     Deep verification needs the raw header bytes (for the committed
-    header digest) *and* every record slot; reading the file once with a
-    single ``read()`` — which releases the GIL for the duration of the
-    I/O — instead of an open per concern is what lets a thread pool
-    overlap independent segments' file work.
+    header digest) *and* every record slot; the file is read once with
+    a single ``read()`` instead of an open per concern.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -1032,9 +1029,6 @@ class SegmentStore:
     sealed, nothing spilled.  :meth:`configure_spill` turns on the tier
     lifecycle — seal at ``seal_every`` records, keep the ``hot_segments``
     newest sealed segments in memory, demote the rest to ``spill_dir``.
-
-    All mutation happens under the owning spine's maintenance lock; the
-    store itself adds no locking.
     """
 
     def __init__(
@@ -1273,7 +1267,6 @@ class SegmentStore:
     def verify(
         self,
         deep: bool = True,
-        workers: Optional[int] = None,
         stats: Optional[VerifyStats] = None,
     ) -> None:
         """Verify every source's chain across the tier boundary.
@@ -1291,11 +1284,7 @@ class SegmentStore:
         are always recomputed, but a cold chunk whose verified
         watermark is still valid (anchors and spill-file stat
         fingerprint unchanged since its last successful full check) is
-        skipped.  ``workers`` > 1 fans the independent chunk
-        recomputations across a thread pool — cold verification is
-        dominated by spill-file reads and ``hashlib`` work, both of
-        which can overlap.  Raises on the first violation, in chunk
-        order, regardless of which worker found it.
+        skipped.  Raises on the first violation, in chunk order.
         """
         todo: List = []
         skipped = 0
@@ -1327,18 +1316,7 @@ class SegmentStore:
                     self.stats_watermark_invalidations += 1
                 todo.append(chunk)
 
-        n_workers = max(1, workers or 1)
-        if n_workers > 1 and len(todo) > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(n_workers, len(todo))
-            ) as pool:
-                futures = [pool.submit(chunk.verify) for chunk in todo]
-                # Results are collected in chunk order so the first
-                # violation reported is deterministic even when a later
-                # chunk failed first on the wall clock.
-                hashed = [future.result() for future in futures]
-        else:
-            hashed = [chunk.verify() for chunk in todo]
+        hashed = [chunk.verify() for chunk in todo]
 
         for chunk in todo:
             if isinstance(chunk, SealedSegment) and chunk.is_cold:

@@ -1,7 +1,7 @@
 """The verification plane's accounting surface (``docs/audit_storage.md``).
 
 Verification used to be an all-or-nothing recompute; with watermark
-cursors and parallel deep sweeps it has *shape* — how many segments were
+cursors it has *shape* — how many segments were
 re-verified versus skipped, how many bytes were re-hashed, how long the
 wall clock ran, how many watermarks were honoured or dropped.  Every
 ``verify_strict`` call fills one :class:`VerifyStats`; spines keep the
@@ -30,7 +30,6 @@ class VerifyStats:
     Attributes:
         mode: ``"incremental"`` or ``"deep"`` (see the verification-modes
             section of ``docs/audit_storage.md``).
-        workers: parallelism used for independent sealed/cold segments.
         wall_s: wall-clock seconds the verification took.
         segments_total: chunks (sealed segments + open tails) examined.
         segments_verified: chunks whose chain was actually recomputed.
@@ -50,7 +49,6 @@ class VerifyStats:
     """
 
     mode: str = "incremental"
-    workers: int = 1
     wall_s: float = 0.0
     segments_total: int = 0
     segments_verified: int = 0

@@ -15,7 +15,6 @@ cross-wired from a fluent builder or a declarative spec
 
 from repro.deploy.builder import Deployment, DeploymentNode, VerdictMatrix
 from repro.deploy.spec import DeploymentSpec, NodeSpec, SpillSpec, TransportSpec
-from repro.deploy.workers import BusWorker, WorkerPool
 
 __all__ = [
     "Deployment",
@@ -25,6 +24,4 @@ __all__ = [
     "NodeSpec",
     "SpillSpec",
     "TransportSpec",
-    "BusWorker",
-    "WorkerPool",
 ]

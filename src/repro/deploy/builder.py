@@ -49,7 +49,6 @@ from repro.cloud.machine import (
 )
 from repro.crypto.attestation import AttestationVerifier
 from repro.deploy.spec import DeploymentSpec, NodeSpec, SpillSpec, TransportSpec
-from repro.deploy.workers import WorkerPool
 from repro.errors import DiscoveryError
 from repro.federation import GossipMesh, MeshNode
 from repro.ifc.labels import SecurityContext
@@ -58,7 +57,6 @@ from repro.iot.domain import AdministrativeDomain
 from repro.iot.world import IoTWorld
 from repro.middleware.discovery import ResourceDiscovery
 from repro.middleware.substrate import MessagingSubstrate, SubstrateHandler
-from repro.sim.executor import WorkerExecutor
 
 
 class DeploymentNode:
@@ -77,7 +75,6 @@ class DeploymentNode:
         self._substrate: Optional[MessagingSubstrate] = None
         self._mesh_node: Optional[MeshNode] = None
         self._domain: Optional[AdministrativeDomain] = None
-        self._workers: Optional[WorkerPool] = None
         self._built = False
 
     def __repr__(self) -> str:
@@ -159,24 +156,6 @@ class DeploymentNode:
     def with_discovery(self) -> "DeploymentNode":
         """Serve the deployment's federation directory from this node."""
         self._mutable().directory = True
-        return self
-
-    def with_workers(self, n: int) -> "DeploymentNode":
-        """Give the node ``n`` bus workers (implies a machine).
-
-        Each worker gets its own :class:`~repro.middleware.bus.
-        MessageBus` bound to its own audit-spine source (``bus.w<i>``)
-        while sharing the machine's spine — one
-        policy, one trail, many executors (``docs/worker_plane.md``).
-        Run them on real threads with ``deploy.run(...,
-        concurrency="threads")``.
-        """
-        if n < 0:
-            raise ValueError(f"workers must be >= 0, got {n}")
-        spec = self._mutable()
-        spec.workers = n
-        if n:
-            spec.machine = True
         return self
 
     def with_spill(
@@ -280,14 +259,6 @@ class DeploymentNode:
             self._domain = world.create_domain(
                 spec.domain, audit=audit, mode=spec.domain_mode
             )
-        if spec.workers:
-            self._workers = WorkerPool(
-                spec.name,
-                self._machine,
-                world.sim.now,
-                deployment.world.mode,
-                spec.workers,
-            )
         if spec.directory:
             deployment.directory(self)
         return self
@@ -327,16 +298,6 @@ class DeploymentNode:
                 f"node {self.spec.name!r} has no domain; add .with_domain()"
             )
         return self._domain
-
-    @property
-    def workers(self) -> WorkerPool:
-        """The node's worker pool (builds on first access)."""
-        self.build()
-        if self._workers is None:
-            raise DiscoveryError(
-                f"node {self.spec.name!r} has no workers; add .with_workers(n)"
-            )
-        return self._workers
 
     @property
     def pinboard(self):
@@ -656,59 +617,11 @@ class Deployment:
             self._mesh_started = True
         return self
 
-    def run(
-        self,
-        hours: float = 0.0,
-        seconds: float = 0.0,
-        concurrency: str = "sim",
-        duration: Optional[float] = None,
-    ) -> int:
+    def run(self, hours: float = 0.0, seconds: float = 0.0) -> int:
         """Start (if needed) and advance simulated time; returns the
-        number of events processed.
-
-        ``concurrency="sim"`` (the default) is the classic
-        single-threaded run.  ``concurrency="threads"`` first executes
-        every assigned worker loop (:meth:`DeploymentNode.with_workers`)
-        on real threads via :class:`~repro.sim.executor.WorkerExecutor`
-        — the simulator keeps pumping underneath them, so tick-driven
-        spine drains and queued events interleave with worker traffic —
-        then advances the remaining ``hours``/``seconds`` normally.
-        ``duration`` (real seconds) bounds open-ended worker loops.
-        """
-        if concurrency not in ("sim", "threads"):
-            raise ValueError(
-                f"concurrency must be 'sim' or 'threads', got {concurrency!r}"
-            )
+        number of events processed."""
         self.start()
-        if concurrency == "threads":
-            self.run_workers(duration=duration)
         return self.world.run(seconds=seconds, hours=hours)
-
-    def run_workers(self, duration: Optional[float] = None, tick: float = 0.05):
-        """Run every assigned worker loop to completion on real threads.
-
-        Returns the per-worker :class:`~repro.sim.executor.WorkerStats`
-        (also retained on each worker for the :meth:`stats` rollup).
-        Workerless deployments return an empty list — ``run(...,
-        concurrency="threads")`` is then just the classic run.
-        """
-        self.build()
-        executor = WorkerExecutor(
-            clock=self.world.sim, tick=tick, name=self.name
-        )
-        assigned = []
-        for handle in self._nodes.values():
-            if handle._workers is None:
-                continue
-            for worker in handle._workers.loops():
-                executor.add(worker.loop(), name=worker.name)
-                assigned.append(worker)
-        if not assigned:
-            return []
-        stats = executor.run(duration=duration)
-        for worker, worker_stats in zip(assigned, stats):
-            worker.last_stats = worker_stats
-        return stats
 
     def converge(self, max_rounds: int = 64) -> int:
         """Drive gossip rounds synchronously until the federation
@@ -803,7 +716,6 @@ class Deployment:
     def verify(
         self,
         mode: str = "incremental",
-        workers: Optional[int] = None,
         analysis: Optional[bool] = None,
     ) -> "VerdictMatrix":
         """The federation-wide verdict matrix.
@@ -824,9 +736,8 @@ class Deployment:
         tails and anything whose watermark dropped, skipping cold
         segments already deep-verified — steady-state cost is O(new
         records), which is what makes running the matrix every round
-        affordable.  ``mode="deep"`` recomputes every chain in full;
-        ``workers`` fans independent cold segments across a thread
-        pool.  Both modes flip the same verdicts on every tamper class
+        affordable.  ``mode="deep"`` recomputes every chain in full.
+        Both modes flip the same verdicts on every tamper class
         (``docs/audit_storage.md``).
 
         ``analysis`` controls the pre-deploy gate (``repro.analysis``):
@@ -858,12 +769,12 @@ class Deployment:
                 continue
             diagonal(
                 handle.spec.hostname,
-                handle.spine.verify(mode=mode, workers=workers),
+                handle.spine.verify(mode=mode),
             )
         for name, domain in self.world.domains.items():
             if name in self._spine_backed_domains:
                 continue
-            diagonal(name, domain.audit.verify(mode=mode, workers=workers))
+            diagonal(name, domain.audit.verify(mode=mode))
         run_gate = analysis if analysis is not None else bool(
             self._flow_assertions
         )
@@ -926,23 +837,6 @@ class Deployment:
                 "pins_retired": sum(n.pinboard.stats_retired for n in nodes),
             }
 
-        workers: Dict[str, object] = {"count": 0, "ops": 0, "throughput": 0.0}
-        pools = {
-            h.spec.name: h._workers
-            for h in self._nodes.values()
-            if h._workers is not None
-        }
-        if pools:
-            per_node = {name: pool.stats() for name, pool in pools.items()}
-            workers = {
-                "count": sum(s["count"] for s in per_node.values()),
-                "ops": sum(s["ops"] for s in per_node.values()),
-                "throughput": round(
-                    sum(s["throughput"] for s in per_node.values()), 1
-                ),
-                "per_node": per_node,
-            }
-
         verify = {
             "verifies": 0, "segments_verified": 0, "segments_skipped": 0,
             "records_verified": 0, "bytes_hashed": 0, "watermark_hits": 0,
@@ -980,7 +874,6 @@ class Deployment:
             "federation": federation,
             "network": network,
             "transport": transport,
-            "workers": workers,
             "verify": verify,
             "analysis": analysis,
         }

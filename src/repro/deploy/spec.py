@@ -118,11 +118,6 @@ class NodeSpec:
         directory: serve the deployment's federation directory (a
             mesh-attached :class:`~repro.middleware.discovery.
             ResourceDiscovery`) from this node.
-        workers: number of bus workers (``repro.deploy.workers``) to
-            build for the node — each gets its own
-            :class:`~repro.middleware.bus.MessageBus` and audit-spine
-            source while sharing the machine's spine
-            (implies ``machine``).  0 keeps the classic single-bus node.
         spill: tiered audit storage (:class:`SpillSpec`): seal the
             machine spine's segments on a cadence and demote old ones
             to disk under ``spill.path/<hostname>`` (implies
@@ -148,17 +143,12 @@ class NodeSpec:
     mesh: bool = False
     pinboard_retain_every: Optional[int] = None
     directory: bool = False
-    workers: int = 0
     spill: Optional[SpillSpec] = None
     transport: Optional[TransportSpec] = None
 
     def __post_init__(self) -> None:
         if not self.hostname:
             self.hostname = self.name
-        if self.workers < 0:
-            raise ValueError(f"workers must be >= 0, got {self.workers}")
-        if self.workers:
-            self.machine = True
         if self.spill is not None:
             self.machine = True
         if self.transport is not None:

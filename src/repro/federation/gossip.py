@@ -651,7 +651,6 @@ class GossipMesh:
     def verify_federation(
         self,
         mode: Optional[str] = None,
-        workers: Optional[int] = None,
     ) -> Dict[str, Dict[str, str]]:
         """Every pinboard's verdict over every *other* member's live spine
         — the cross-domain tamper check (see
@@ -667,6 +666,6 @@ class GossipMesh:
             if node.spine is not None
         }
         return {
-            host: node.pinboard.verify(spines, mode=mode, workers=workers)
+            host: node.pinboard.verify(spines, mode=mode)
             for host, node in sorted(self._nodes.items())
         }

@@ -22,7 +22,6 @@ one — sharing is precisely what makes cross-label integer ops sound.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.ifc.tags import Tag, as_tag
@@ -49,7 +48,7 @@ def remap_mask(wire_mask: int, local_bits: "Sequence[int]") -> int:
 class TagInterner:
     """Assigns each tag a stable bit position; converts tag sets ↔ masks."""
 
-    __slots__ = ("_positions", "_tags", "_by_name", "_lock")
+    __slots__ = ("_positions", "_tags", "_by_name")
 
     def __init__(self) -> None:
         self._positions: Dict[Tag, int] = {}
@@ -60,25 +59,9 @@ class TagInterner:
         # repeats.  Only populated through intern(), so a hit is always
         # a tag that passed validation once.
         self._by_name: Dict[str, int] = {}
-        # Reentrant: wire-plane decode memos (MaskTranslator) extend
-        # their tables under this same lock while interning the peer's
-        # tags, so intern() must be acquirable by the holder.
-        self._lock = threading.RLock()
 
     def __len__(self) -> int:
         return len(self._tags)
-
-    @property
-    def lock(self) -> "threading.RLock":
-        """The interner's mutation lock.
-
-        The wire plane shares it: a :class:`~repro.ifc.wire.
-        MaskTranslator`'s position table and decode memos are extensions
-        of this interner's numbering, so guarding both under one lock
-        means a translator can never observe (or publish) a mapping
-        mid-extension.
-        """
-        return self._lock
 
     def __contains__(self, tag: "Tag | str") -> bool:
         return as_tag(tag) in self._positions
@@ -96,14 +79,9 @@ class TagInterner:
             t = tag
         position = self._positions.get(t)
         if position is None:
-            with self._lock:
-                # Re-check under the lock: another thread may have
-                # interned it.
-                position = self._positions.get(t)
-                if position is None:
-                    position = len(self._tags)
-                    self._tags.append(t)
-                    self._positions[t] = position
+            position = len(self._tags)
+            self._tags.append(t)
+            self._positions[t] = position
         self._by_name.setdefault(t.qualified, position)
         if raw is not None and raw != t.qualified:
             # Un-normalised spellings ("bare" → "local:bare") hit too.
@@ -160,9 +138,7 @@ class TagInterner:
         taken at length N is a stable prefix of every later snapshot —
         which is what lets peers exchange *deltas* after first contact.
         """
-        with self._lock:
-            snapshot = self._tags[start:]
-        return tuple(t.qualified for t in snapshot)
+        return tuple(t.qualified for t in self._tags[start:])
 
     def merge_table(self, tags: Iterable[str]) -> List[int]:
         """Intern foreign tags, returning each one's local single-bit mask.

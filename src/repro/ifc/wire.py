@@ -275,25 +275,15 @@ class MaskTranslator:
     then run :func:`~repro.ifc.flow.flow_decision_masks` in the local
     numbering (passing the local interner), so denial labels
     name the real tags.
-
-    Thread safety: the interner's own lock is extended to cover the
-    translator's position table and decode memos — extensions and memo
-    misses serialise against interning, while memo *hits* stay
-    lock-free (dict gets on maps that only ever gain entries).
     """
 
-    __slots__ = (
-        "_interner", "_local_bits", "_mask_memo", "_context_memo", "_lock"
-    )
+    __slots__ = ("_interner", "_local_bits", "_mask_memo", "_context_memo")
 
     def __init__(self, interner: TagInterner):
         self._interner = interner
         self._local_bits: List[int] = []
         self._mask_memo: Dict[int, int] = {}
         self._context_memo: Dict[Tuple[int, int], SecurityContext] = {}
-        # The interner's (reentrant) lock: translator state is an
-        # extension of the interner's numbering, guarded as one unit.
-        self._lock = interner.lock
 
     @property
     def version(self) -> int:
@@ -302,8 +292,7 @@ class MaskTranslator:
 
     def extend(self, tags: Sequence[str]) -> None:
         """Append newly learned peer tags (in peer-position order)."""
-        with self._lock:
-            self._local_bits.extend(self._interner.merge_table(tags))
+        self._local_bits.extend(self._interner.merge_table(tags))
 
     @property
     def local_bits(self) -> Sequence[int]:
@@ -319,11 +308,8 @@ class MaskTranslator:
         """
         local = self._mask_memo.get(wire_mask)
         if local is None:
-            with self._lock:
-                local = self._mask_memo.get(wire_mask)
-                if local is None:
-                    local = remap_mask(wire_mask, self._local_bits)
-                    self._mask_memo[wire_mask] = local
+            local = remap_mask(wire_mask, self._local_bits)
+            self._mask_memo[wire_mask] = local
         return local
 
     def to_local_context(self, secrecy_mask: int, integrity_mask: int) -> SecurityContext:
@@ -337,14 +323,11 @@ class MaskTranslator:
         key = (secrecy_mask, integrity_mask)
         ctx = self._context_memo.get(key)
         if ctx is None:
-            with self._lock:
-                ctx = self._context_memo.get(key)
-                if ctx is None:
-                    ctx = SecurityContext(
-                        Label.from_mask(self.to_local_mask(secrecy_mask)),
-                        Label.from_mask(self.to_local_mask(integrity_mask)),
-                    )
-                    self._context_memo[key] = ctx
+            ctx = SecurityContext(
+                Label.from_mask(self.to_local_mask(secrecy_mask)),
+                Label.from_mask(self.to_local_mask(integrity_mask)),
+            )
+            self._context_memo[key] = ctx
         return ctx
 
 

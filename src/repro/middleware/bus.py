@@ -75,15 +75,11 @@ class MessageBus:
         mode: EnforcementMode = EnforcementMode.AC_AND_IFC,
         authoriser: ConnectAuthoriser = default_authoriser,
         clock: Optional[Callable[[], float]] = None,
-        audit_source: str = "bus",
     ):
         # Given an AuditSpine (or an emitter onto one), deliveries stage
-        # records under the `audit_source` segment and chaining happens
-        # off the delivery path; a plain AuditLog keeps synchronous
-        # semantics.  Worker pools give each per-worker bus its own
-        # source ("bus.w0", "bus.w1", ...) so emission stays
-        # contention-free — one writer per staging ring.
-        self.audit = bind_source(audit, audit_source)
+        # records under the "bus" segment and chaining happens off the
+        # delivery path; a plain AuditLog keeps synchronous semantics.
+        self.audit = bind_source(audit, "bus")
         self.mode = mode
         self.authoriser = authoriser
         self._clock = clock or (lambda: 0.0)

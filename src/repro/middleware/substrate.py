@@ -448,6 +448,20 @@ class MessagingSubstrate:
                  "reason": reason},
             )
 
+    def _unroutable(self, source_addr: str, dest_process: str, msg_id: int) -> None:
+        """Count and audit a row for a process this substrate does not
+        host, so compliance tooling sees envelopes that reached the
+        wrong substrate."""
+        self.stats.dropped_unroutable += 1
+        if self.audit is not None:
+            self.audit.append(
+                RecordKind.MISDELIVERY,
+                source_addr,
+                f"{self.machine.hostname}/{dest_process}",
+                {"msg_id": msg_id,
+                 "reason": "no such process on this substrate"},
+            )
+
     def _decode(self, datagram: Datagram) -> Optional[Tuple]:
         """Decode a wire payload into one batch ``(source address,
         message context, message type, rows)``, each row
@@ -455,13 +469,23 @@ class MessagingSubstrate:
 
         A :class:`MaskBatchEnvelope` carries its rows; a
         :class:`TagSetEnvelope` is a batch of one row.  Anything else,
-        and masks beyond our translation table, are counted, audited and
-        dropped here (None).
+        masks beyond our translation table, and a tag-set row for a
+        process we do not host are counted, audited and dropped here
+        (None).
         """
         payload = datagram.payload
         if isinstance(payload, TagSetEnvelope):
+            source_addr = f"{payload.source_host}/{payload.source_process}"
+            # Route before decoding: the peer's tag names reach the
+            # process-global interner only for a row we will deliver or
+            # deny, never for one nothing here can take.
+            if payload.dest_process not in self._local:
+                self._unroutable(
+                    source_addr, payload.dest_process, payload.msg_id
+                )
+                return None
             return (
-                f"{payload.source_host}/{payload.source_process}",
+                source_addr,
                 SecurityContext.of(payload.msg_secrecy, payload.msg_integrity),
                 payload.type,
                 ((payload.dest_process, payload.values, payload.msg_id,
@@ -542,17 +566,7 @@ class MessagingSubstrate:
         for dest_process, values, msg_id, sent_at in rows:
             entry = local.get(dest_process)
             if entry is None:
-                # Misdelivery: audited and counted, so compliance tooling
-                # can see envelopes that reached the wrong substrate.
-                stats.dropped_unroutable += 1
-                if self.audit is not None:
-                    self.audit.append(
-                        RecordKind.MISDELIVERY,
-                        source_addr,
-                        f"{self.machine.hostname}/{dest_process}",
-                        {"msg_id": msg_id,
-                         "reason": "no such process on this substrate"},
-                    )
+                self._unroutable(source_addr, dest_process, msg_id)
                 continue
             process, handler = entry
             if enforce:

@@ -9,7 +9,6 @@ tests and benchmarks are deterministic.
 
 from repro.sim.clock import Clock, ManualClock
 from repro.sim.events import EventQueue, ScheduledEvent, Simulator
-from repro.sim.executor import WorkerContext, WorkerExecutor, WorkerStats
 
 __all__ = [
     "Clock",
@@ -17,7 +16,4 @@ __all__ = [
     "EventQueue",
     "ScheduledEvent",
     "Simulator",
-    "WorkerContext",
-    "WorkerExecutor",
-    "WorkerStats",
 ]

@@ -114,7 +114,7 @@ class EventQueue:
         self._heap: List[ScheduledEvent] = []
         self._seq = itertools.count()
         # Live (non-cancelled) entries — maintained so __len__ is O(1)
-        # instead of a heap scan (worker pumps poll queue depth).
+        # instead of a heap scan.
         self._live = 0
         # deadline → (event, bucket) for the open bucketed events.
         self._buckets: Dict[float, Tuple[ScheduledEvent, _EventBucket]] = {}
@@ -230,9 +230,9 @@ class Simulator:
         The recurrence re-arms itself after each firing **from the
         scheduled fire time**, not from ``clock.now()`` after the
         callback ran — a callback that advances the clock (a nested
-        ``run_until`` in a worker pump, a drain) must not stretch the
-        period.  When a callback overruns one or more whole periods the
-        recurrence skips to the next grid point strictly after ``now``
+        ``run_until``, a drain) must not stretch the period.  When a
+        callback overruns one or more whole periods the recurrence
+        skips to the next grid point strictly after ``now``
         (periods stay on the ``start + k*interval`` grid; missed points
         are not replayed).  Stops once ``until`` (absolute time) is
         passed or the cancel function runs.

@@ -37,7 +37,6 @@ SPEC_SHAPES = {
     "bus-only": NodeSpec(name="n0", machine=False),
     "no-substrate": NodeSpec(name="n0", machine=True, substrate=False,
                              domain="ops"),
-    "workers": NodeSpec(name="n0", machine=True, workers=2, domain="ops"),
 }
 
 

@@ -50,7 +50,9 @@ class TestStagedEmission:
         for i in range(4):
             bus.flow_allowed(f"a{i}", "b")
         assert spine.pending == 0  # capacity reached -> drained
+        assert spine.stats_ring_overflows == 1
         assert len(spine.segment("bus").records) == 4
+        assert spine.verify()
 
     def test_clock_tick_drains_in_background(self):
         sim = Simulator()

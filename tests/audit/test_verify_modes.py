@@ -1,5 +1,5 @@
 """The verification plane: incremental vs deep modes, watermark
-cursors, parallel deep sweeps, checkpoint-binding watermarks, and the
+cursors, checkpoint-binding watermarks, and the
 consumers that ride them (see the verification-modes section of
 docs/audit_storage.md).
 
@@ -244,29 +244,18 @@ class TestEveryTamperClassFlipsBothModes:
 
 
 class TestParallelDeep:
-    def test_parallel_equals_serial(self, tmp_path):
-        __, spine = cold_spine(tmp_path, n=40, seal_every=8)
-        serial = spine.verify_strict(deep=True, workers=1)
-        fanned = spine.verify_strict(deep=True, workers=8)
-        assert fanned.workers == 8
-        assert fanned.segments_verified == serial.segments_verified
-        assert fanned.records_verified == serial.records_verified
-        assert fanned.bytes_hashed == serial.bytes_hashed
+    """Deep verify walks every cold segment in one pass; a tamper in
+    any one of them fails the whole pass."""
 
     @pytest.mark.parametrize("tamper", sorted(TAMPERS))
     def test_parallel_still_detects_tamper(self, tmp_path, tamper):
+        # No verify pass has run yet: deep mode alone must catch a
+        # tampered middle segment.
         __, spine = cold_spine(tmp_path, n=40, seal_every=8)
         TAMPERS[tamper](sorted(tmp_path.glob("*.seg"))[1])
-        assert not spine.verify(mode="deep", workers=8)
+        assert not spine.verify(mode="deep")
         with pytest.raises(IntegrityViolation):
-            spine.verify_strict(deep=True, workers=8)
-
-    def test_incremental_accepts_workers_knob(self, tmp_path):
-        __, spine = cold_spine(tmp_path)
-        time.sleep(SETTLE)
-        stats = spine.verify_strict(deep=False, workers=4)
-        assert stats.workers == 4
-        assert spine.verify(mode="incremental", workers=4)
+            spine.verify_strict(deep=True)
 
 
 class TestCheckpointBindingWatermark:

@@ -233,10 +233,8 @@ class TestFederatedDeployment:
         )
         assert set(rollup) == {
             "flows", "substrate", "audit", "federation",
-            "network", "transport", "workers", "verify", "analysis",
+            "network", "transport", "verify", "analysis",
         }
-        # No with_workers() in this deployment: the rollup says so.
-        assert rollup["workers"] == {"count": 0, "ops": 0, "throughput": 0.0}
 
     def test_collect_audit_covers_spines_and_detached_domains(self):
         deploy, alpha, beta = two_node_mesh()

@@ -11,6 +11,7 @@ from repro.audit import RecordKind
 from repro.cloud import Machine
 from repro.errors import NetworkError
 from repro.ifc import SecurityContext, as_tags
+from repro.ifc.interner import global_interner
 from repro.middleware import (
     AttributeSpec,
     MaskBatchEnvelope,
@@ -318,6 +319,31 @@ class TestSatelliteFixes:
         assert len(records) == 1
         assert records[0].actor == "wh1/a"
         assert records[0].subject == "wh2/ghost"
+
+    def test_unroutable_tagset_rows_intern_nothing(self, sim):
+        """A tag-set envelope for a process this substrate does not host
+        is dropped before its tag names are decoded: a peer cannot grow
+        the process-global interner with rows nothing here can take."""
+        net, m1, m2, s1, s2 = _pair(sim)
+        interner = global_interner()
+        before = len(interner)
+        n = 1_000
+        for i in range(n):
+            net.send("wh1", "wh2", TagSetEnvelope(
+                source_host="wh1", source_process="a",
+                dest_host="wh2", dest_process="ghost",
+                type=READING, values={"value": 1.0}, msg_id=i, sent_at=0.0,
+                msg_secrecy=(f"junk:t{i}",), msg_integrity=(),
+                src_secrecy=(), src_integrity=(),
+            ))
+        sim.drain()
+        assert len(interner) == before
+        assert "junk:t0" not in interner
+        assert s2.stats.dropped_unroutable == n
+        assert s2.stats.delivered == 0
+        records = [r for r in m2.audit if r.kind == RecordKind.MISDELIVERY]
+        assert len(records) == n
+        assert {(r.actor, r.subject) for r in records} == {("wh1/a", "wh2/ghost")}
 
     def test_unknown_payload_counted_and_audited(self, sim):
         """A datagram of no known wire format is dropped, but never
