@@ -1,11 +1,18 @@
 """Audit, provenance and compliance (§8.3, Challenge 6, Fig. 11)."""
 
-from repro.audit.records import AuditRecord, RecordKind, record_matches, record_tags
+from repro.audit.records import (
+    AuditRecord,
+    RecordKind,
+    decode_export,
+    record_matches,
+    record_tags,
+)
 from repro.audit.log import GENESIS_DIGEST, AuditLog, RecorderMixin
 from repro.audit.storage import (
     SealedSegment,
     SegmentIndex,
     SegmentStore,
+    load_spill,
 )
 from repro.audit.spine import (
     AuditSegment,
@@ -50,6 +57,8 @@ __all__ = [
     "RecordKind",
     "record_matches",
     "record_tags",
+    "decode_export",
+    "load_spill",
     "GENESIS_DIGEST",
     "AuditLog",
     "RecorderMixin",

@@ -16,7 +16,12 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.audit.records import AuditRecord, RecordKind, record_matches
+from repro.audit.records import (
+    AuditRecord,
+    RecordKind,
+    record_matches,
+    ship_contexts,
+)
 from repro.errors import IntegrityViolation
 from repro.ifc.labels import SecurityContext
 
@@ -345,9 +350,11 @@ class AuditLog(RecorderMixin):
     def export(self) -> List[Dict]:
         """Serialise records (with digests) for offload to another party
         (Challenge 6: "can logs be offloaded to others for distributed
-        audit?")."""
+        audit?").  The first entry to name each context carries its
+        table entry, so :func:`~repro.audit.records.decode_export`
+        decodes the export alone."""
         self.flush()
-        return [
+        return ship_contexts([
             {"record": r.canonical(), "digest": d}
             for r, d in zip(self._records, self._digests)
-        ]
+        ])

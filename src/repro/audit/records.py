@@ -10,13 +10,15 @@ Records capture flows (allowed *and* denied), context changes
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
 from math import isfinite
-from typing import Any, Dict, FrozenSet, Optional, Set
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set
 
+from repro.errors import IntegrityViolation, TagError
 from repro.ifc.labels import Label, SecurityContext
 
 
@@ -94,32 +96,133 @@ def _str_json(text: str) -> str:
     return json.dumps(text)
 
 
+#: The context table: reference (sha256 hex of a context's JSON) → that
+#: JSON.  Canonical records name their contexts by reference, and every
+#: entry authenticates itself (its key is its own digest), so one table
+#: serves every store in the process: :func:`_context_ref` fills it as
+#: records are serialised, :func:`register_contexts` from spill headers
+#: and exports.  Like the tag interner it only grows, by one entry per
+#: distinct context.
+_CONTEXTS: Dict[str, str] = {}
+
+
 @lru_cache(maxsize=1024)
-def _context_json(secrecy: int, integrity: int) -> str:
-    # Keyed by a context's two interned masks, not by the context: equal
-    # contexts arrive as distinct objects, and two int keys skip the
-    # frozen dataclass's Python __hash__/__eq__.  The interner only
-    # appends, so a mask names one tag set for the life of the process.
-    return _encode({
+def _context_ref(secrecy: int, integrity: int) -> str:
+    """The JSON string literal a canonical record names a context by.
+
+    Keyed by a context's two interned masks, not by the context: equal
+    contexts arrive as distinct objects, and two int keys skip the
+    frozen dataclass's Python __hash__/__eq__.  The interner only
+    appends, so a mask names one tag set for the life of the process.
+    The reference itself is taken over qualified tag names, never
+    masks, so every process and domain names a context alike.
+    """
+    text = _encode({
         name: sorted(t.qualified for t in Label.from_mask(mask).tags)
         for name, mask in (("secrecy", secrecy), ("integrity", integrity))
     })
+    ref = hashlib.sha256(text.encode()).hexdigest()
+    _CONTEXTS[ref] = text
+    return '"%s"' % ref
+
+
+def register_contexts(entries: Any) -> None:
+    """Add table entries that arrive from outside (a spill header, an
+    export): a mapping of reference → context JSON.
+
+    Raises :class:`IntegrityViolation` unless every entry's sha256 is
+    its key, so a doctored entry can never name a context.
+    """
+    if entries.__class__ is not dict:
+        raise IntegrityViolation("context table is not a mapping")
+    for ref, text in entries.items():
+        if _CONTEXTS.get(ref) == text:
+            continue  # already held, hence already authenticated
+        try:
+            authentic = hashlib.sha256(text.encode()).hexdigest() == ref
+        except (AttributeError, UnicodeEncodeError):
+            authentic = False
+        if not authentic:
+            raise IntegrityViolation(
+                f"context table entry {str(ref)[:16]!r}... does not hash "
+                f"to its key"
+            )
+        _CONTEXTS[ref] = text
+
+
+def _context_of_ref(ref: Any) -> Optional[SecurityContext]:
+    if ref is None:
+        return None
+    if ref.__class__ is not str:
+        # Format 1 wrote the context JSON inline; it is no reference.
+        raise IntegrityViolation(
+            f"context reference {str(ref)[:40]!r} is not a digest"
+        )
+    return _resolve(ref)
 
 
 @lru_cache(maxsize=1024)
-def _context_of_tags(secrecy: tuple, integrity: tuple) -> SecurityContext:
+def _resolve(ref: str) -> SecurityContext:
     # Cold records repeat a handful of contexts (a ward's 256-tag stats
-    # context among them): parse and intern each distinct tag list once.
-    # Contexts are immutable, so equal cold records may share one.
-    return SecurityContext.of(secrecy, integrity)
+    # context among them): parse and intern each distinct one once.
+    # Contexts are immutable, so equal cold records may share one.  An
+    # unknown reference raises, and a raise is not memoised.
+    text = _CONTEXTS.get(ref)
+    if text is None:
+        raise IntegrityViolation(f"unknown context reference {ref[:64]!r}")
+    try:
+        body = json.loads(text)
+        return SecurityContext.of(
+            tuple(body["secrecy"]), tuple(body["integrity"])
+        )
+    except (ValueError, KeyError, TypeError, AttributeError,
+            TagError) as exc:
+        raise IntegrityViolation(
+            f"context {ref[:16]!r}... is not a security context ({exc})"
+        ) from exc
 
 
-def _context_from_dict(body: Optional[Dict]) -> Optional[SecurityContext]:
-    if body is None:
-        return None
-    return _context_of_tags(
-        tuple(body.get("secrecy", ())), tuple(body.get("integrity", ()))
-    )
+def context_table(records: Iterable["AuditRecord"]) -> Dict[str, str]:
+    """The table entries the records' canonical forms name."""
+    # Enforcement reuses a handful of context objects across many
+    # records: dedupe by identity before asking for references.
+    contexts: Dict[int, Optional[SecurityContext]] = {}
+    for r in records:
+        contexts[id(r.source_context)] = r.source_context
+        contexts[id(r.target_context)] = r.target_context
+    table: Dict[str, str] = {}
+    for ctx in contexts.values():
+        if ctx is not None:
+            ref = _context_ref(ctx.secrecy.mask, ctx.integrity.mask)[1:-1]
+            table[ref] = _CONTEXTS[ref]
+    return table
+
+
+def ship_contexts(entries: List[Dict]) -> List[Dict]:
+    """Give each export entry that is the first to name a context a
+    ``"contexts"`` map of those table entries, so the export decodes
+    with no other table (:func:`decode_export`); returns ``entries``."""
+    shipped: Set[str] = set()
+    for entry in entries:
+        body = json.loads(entry["record"])
+        new = {}
+        for ref in (body["source_context"], body["target_context"]):
+            if ref.__class__ is str and ref not in shipped and ref in _CONTEXTS:
+                new[ref] = _CONTEXTS[ref]
+        if new:
+            shipped.update(new)
+            entry["contexts"] = new
+    return entries
+
+
+def decode_export(entries: Iterable[Dict]) -> List["AuditRecord"]:
+    """Records out of an ``export()``, decoded through the context
+    entries it ships; raises :class:`IntegrityViolation` for a doctored
+    entry or a reference the export does not resolve."""
+    entries = list(entries)
+    for entry in entries:
+        register_contexts(entry.get("contexts", {}))
+    return [AuditRecord.from_canonical(e["record"]) for e in entries]
 
 
 @lru_cache(maxsize=1024)
@@ -179,11 +282,14 @@ class AuditRecord:
     def canonical(self) -> str:
         """Deterministic JSON serialisation used for hash chaining.
 
-        Assembled from per-field fragments, contexts memoised by mask
-        (:func:`_context_json`) and a finite float timestamp written by
-        ``float.__repr__`` as ``json`` itself does — byte-identical to
-        ``json.dumps(body, sort_keys=True, separators=(",", ":"))``
-        over the same eight keys, as ``test_canonical_properties`` pins.
+        Each context is written as its reference, the quoted sha256 hex
+        of the context's own JSON (:func:`_context_ref`, memoised by
+        mask), so the chain covers the reference and the context table
+        holds the JSON once.  Assembled from per-field fragments, with a
+        finite float timestamp written by ``float.__repr__`` as ``json``
+        itself does — byte-identical to ``json.dumps(body,
+        sort_keys=True, separators=(",", ":"))`` over the same eight
+        keys, as ``test_canonical_properties`` pins.
         """
         detail = self.detail
         src = self.source_context
@@ -198,10 +304,10 @@ class AuditRecord:
                 _str_json(self.kind.value),
                 self.seq,
                 "null" if src is None
-                else _context_json(src.secrecy.mask, src.integrity.mask),
+                else _context_ref(src.secrecy.mask, src.integrity.mask),
                 _str_json(self.subject),
                 "null" if tgt is None
-                else _context_json(tgt.secrecy.mask, tgt.integrity.mask),
+                else _context_ref(tgt.secrecy.mask, tgt.integrity.mask),
                 repr(ts) if ts.__class__ is float and isfinite(ts)
                 else json.dumps(ts),
             )
@@ -219,19 +325,28 @@ class AuditRecord:
         The round trip is byte-stable (``canonical()`` sorts keys and
         qualified tags), which is what lets cold audit segments store
         only the digest material and reconstruct record objects on
-        demand (``repro.audit.storage``).
+        demand (``repro.audit.storage``).  Context references resolve
+        through the context table; bytes that are no record, and a
+        reference the table does not hold, raise
+        :class:`IntegrityViolation` — never a default context.
         """
-        body = json.loads(canonical)
-        return cls(
-            seq=body["seq"],
-            timestamp=body["timestamp"],
-            kind=RecordKind(body["kind"]),
-            actor=body["actor"],
-            subject=body.get("subject", ""),
-            detail=body.get("detail") or {},
-            source_context=_context_from_dict(body.get("source_context")),
-            target_context=_context_from_dict(body.get("target_context")),
-        )
+        try:
+            body = json.loads(canonical)
+            return cls(
+                seq=body["seq"],
+                timestamp=body["timestamp"],
+                kind=RecordKind(body["kind"]),
+                actor=body["actor"],
+                subject=body["subject"],
+                detail=body["detail"] or {},
+                source_context=_context_of_ref(body["source_context"]),
+                target_context=_context_of_ref(body["target_context"]),
+            )
+        except (ValueError, KeyError, TypeError, AttributeError,
+                RecursionError) as exc:
+            raise IntegrityViolation(
+                f"undecodable audit record ({exc})"
+            ) from exc
 
 
 _SLOT_SETTERS = tuple(

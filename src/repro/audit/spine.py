@@ -51,7 +51,12 @@ import time
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.audit.log import GENESIS_DIGEST, RecorderMixin, _deep_of
-from repro.audit.records import AuditRecord, RecordKind, record_matches
+from repro.audit.records import (
+    AuditRecord,
+    RecordKind,
+    record_matches,
+    ship_contexts,
+)
 from repro.audit.storage import (  # noqa: F401  (AuditSegment re-exported)
     AuditSegment,
     SegmentStore,
@@ -863,7 +868,7 @@ class AuditSpine(RecorderMixin):
 
     def export_checkpoints(self) -> List[Dict]:
         """Serialise the checkpoint chain (records + digests)."""
-        return [
+        return ship_contexts([
             {"record": r.canonical(), "digest": d}
             for r, d in zip(self._ckpt.records, self._ckpt.digests)
-        ]
+        ])

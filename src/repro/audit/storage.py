@@ -28,18 +28,25 @@ whether a segment is hot or spilled; :class:`~repro.audit.query.
 AuditQuery` uses the per-segment indexes to answer entity/tag/time
 queries from index probes plus a bounded number of segment scans.
 
-On-disk record format (one file per sealed segment)::
+On-disk record format, version 2 (one file per sealed segment)::
 
-    magic   8 bytes   b"RAUDSEG1"
+    magic   8 bytes   b"RAUDSEG2"
     u32     4 bytes   header length H
-    header  H bytes   JSON: version, source, base_digest, base_count,
-                      count, head, stride, index
+    header  H bytes   JSON: version (2), source, base_digest, base_count,
+                      count, head, stride, index, contexts
     slots   count x stride, 16-aligned, starting at offset
             align16(12 + H); slot i at data_start + i*stride:
         u32      canonical length L
         64 bytes chain digest (hex, verbatim)
         L bytes  canonical record JSON (verbatim digest material)
         padding  zeros to stride
+
+A canonical record names each security context by reference (the
+sha256 hex of the context's JSON); the header's ``contexts`` maps every
+reference the file's records name to that JSON, so the file decodes
+and verifies alone.  Readers check each entry against its key and
+refuse any other magic or version (a ``RAUDSEG1`` file included) with
+:class:`~repro.errors.IntegrityViolation`.
 
 Fixed stride means record ``i`` is one pointer computation away under
 ``mmap`` — no scan to seek, which is what lets cold queries touch only
@@ -61,12 +68,18 @@ from pathlib import Path
 from typing import AbstractSet, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.audit.log import _DIGEST_BYTES, chain_digest, replay_chain
-from repro.audit.records import AuditRecord, _context_tags
+from repro.audit.records import (
+    AuditRecord,
+    _context_tags,
+    context_table,
+    register_contexts,
+    ship_contexts,
+)
 from repro.audit.verify import VerifyStats
 from repro.errors import IntegrityViolation
 
-SPILL_MAGIC = b"RAUDSEG1"
-SPILL_VERSION = 1
+SPILL_MAGIC = b"RAUDSEG2"
+SPILL_VERSION = 2
 
 _UNSAFE = re.compile(r"[^a-zA-Z0-9_.\-]")
 
@@ -473,15 +486,18 @@ def write_spill(
     head: str,
     entries: List[Tuple[str, str]],
     index: SegmentIndex,
+    contexts: Dict[str, str],
 ) -> Tuple[int, str]:
     """Write one sealed segment to ``path``.
 
     Returns ``(bytes written, header digest)`` — the writer keeps the
     header digest *in memory* so that tampering with the on-disk header
-    (including the query index) is detected by :meth:`SealedSegment.
-    verify`, not just tampering with record slots.  ``entries`` are
-    ``(canonical, digest)`` pairs — the digest material and chain
-    digests verbatim, never re-serialised.
+    (including the query index and the context table) is detected by
+    :meth:`SealedSegment.verify`, not just tampering with record slots.
+    ``entries`` are ``(canonical, digest)`` pairs — the digest material
+    and chain digests verbatim, never re-serialised; ``contexts`` are
+    the context-table entries they name (:func:`~repro.audit.records.
+    context_table`).
     """
     encoded = [c.encode() for c, __ in entries]
     stride = _align16(_LEN.size + _DIGEST_BYTES + max(map(len, encoded)))
@@ -495,6 +511,7 @@ def write_spill(
             "head": head,
             "stride": stride,
             "index": index.to_dict(),
+            "contexts": contexts,
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -520,12 +537,37 @@ def write_spill(
     return len(image), hashlib.sha256(header).hexdigest()
 
 
+def _check_magic(magic: bytes, path: Path) -> None:
+    if magic != SPILL_MAGIC:
+        raise IntegrityViolation(
+            f"{path}: not a {SPILL_MAGIC.decode()} spill segment file "
+            f"(magic {bytes(magic)!r})"
+        )
+
+
+def _header(raw: bytes, path: Path) -> Dict:
+    """Parse a spill header: version 2 only, its context table checked
+    entry by entry and added to the process's table."""
+    try:
+        header = json.loads(raw)
+        version = header["version"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise IntegrityViolation(
+            f"{path}: corrupt spill segment header ({exc})"
+        ) from exc
+    if version != SPILL_VERSION:
+        raise IntegrityViolation(
+            f"{path}: spill segment version {version!r}, this reader "
+            f"reads version {SPILL_VERSION} only"
+        )
+    register_contexts(header.get("contexts"))
+    return header
+
+
 def read_spill_header_bytes(path: Path) -> bytes:
     """The raw header bytes of a spill file (for digest checking)."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(SPILL_MAGIC))
-        if magic != SPILL_MAGIC:
-            raise IntegrityViolation(f"{path}: not a spill segment file")
+        _check_magic(fh.read(len(SPILL_MAGIC)), path)
         try:
             (header_len,) = _LEN.unpack(fh.read(_LEN.size))
         except struct.error as exc:
@@ -537,7 +579,7 @@ def read_spill_header_bytes(path: Path) -> bytes:
 
 def read_spill_header(path: Path) -> Dict:
     """Parse only the header of a spill file."""
-    return json.loads(read_spill_header_bytes(path))
+    return _header(read_spill_header_bytes(path), path)
 
 
 def read_spill(path: Path) -> Tuple[Dict, List[Tuple[str, str]]]:
@@ -547,7 +589,12 @@ def read_spill(path: Path) -> Tuple[Dict, List[Tuple[str, str]]]:
     the same random-access path a partial reader would use.
     """
     with open(path, "rb") as fh:
-        mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        try:
+            mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except ValueError as exc:  # an empty file cannot be mapped
+            raise IntegrityViolation(
+                f"{path}: not a spill segment file ({exc})"
+            ) from exc
         try:
             return _parse_spill(mm, path)
         finally:
@@ -584,14 +631,13 @@ def _raw_header_of(blob, path: Path) -> bytes:
 
 def _parse_spill(blob, path: Path) -> Tuple[Dict, List[Tuple[str, str]]]:
     """Decode a spill image (bytes or mmap) into (header, entries)."""
+    _check_magic(blob[: len(SPILL_MAGIC)], path)
     try:
-        if blob[: len(SPILL_MAGIC)] != SPILL_MAGIC:
-            raise IntegrityViolation(f"{path}: not a spill segment file")
         (header_len,) = _LEN.unpack(
             blob[len(SPILL_MAGIC):len(SPILL_MAGIC) + _LEN.size]
         )
         header_end = len(SPILL_MAGIC) + _LEN.size + header_len
-        header = json.loads(blob[len(SPILL_MAGIC) + _LEN.size:header_end])
+        header = _header(blob[len(SPILL_MAGIC) + _LEN.size:header_end], path)
         stride = header["stride"]
         data_start = _align16(header_end)
         entries: List[Tuple[str, str]] = []
@@ -604,7 +650,7 @@ def _parse_spill(blob, path: Path) -> Tuple[Dict, List[Tuple[str, str]]]:
             body = slot + _LEN.size + _DIGEST_BYTES
             entries.append((blob[body:body + length].decode(), digest))
         return header, entries
-    except (UnicodeDecodeError, ValueError, KeyError,
+    except (UnicodeDecodeError, ValueError, KeyError, TypeError,
             struct.error) as exc:
         # A doctored file can corrupt lengths, the header JSON or
         # the canonical bytes themselves; every such failure is an
@@ -612,6 +658,30 @@ def _parse_spill(blob, path: Path) -> Tuple[Dict, List[Tuple[str, str]]]:
         raise IntegrityViolation(
             f"{path}: corrupt spill segment ({exc})"
         ) from exc
+
+
+def load_spill(path: Path) -> List[AuditRecord]:
+    """Decode and verify one spill file on its own, with no process
+    state: the chain is replayed from the header's base digest to its
+    head, and contexts resolve through the header's table.  Raises
+    :class:`IntegrityViolation` on any mismatch.
+
+    Without the digests a live store committed to, this proves the
+    file self-consistent, not that it is the file that store wrote.
+    """
+    __, header, entries = read_spill_full(path)
+    try:
+        base, head = header["base_digest"], header["head"]
+        __, bad = replay_chain(
+            base, (c for c, __ in entries), (d for __, d in entries)
+        )
+    except (KeyError, TypeError) as exc:
+        raise IntegrityViolation(
+            f"{path}: corrupt spill segment ({exc})"
+        ) from exc
+    if bad is not None or (entries[-1][1] if entries else base) != head:
+        raise IntegrityViolation(f"{path}: spill segment chain broken")
+    return [AuditRecord.from_canonical(c) for c, __ in entries]
 
 
 class SealedSegment:
@@ -779,16 +849,19 @@ class SealedSegment:
     def _spill_layout(self) -> Tuple[int, int]:
         """(data_start, stride) of the cold file's slot region, cached.
 
-        Probes trust the on-disk stride the way hot probes trust the
-        in-memory digest list — :meth:`verify` is what holds the file to
-        the committed header digest; a doctored layout yields digests
-        that fail their downstream comparison.
+        Reading the header also checks its context table into the
+        process's table, which is what lets :meth:`records_at` decode
+        a file this process did not write.  Probes trust the on-disk
+        stride the way hot probes trust the in-memory digest list —
+        :meth:`verify` is what holds the file to the committed header
+        digest; a doctored layout yields digests that fail their
+        downstream comparison.
         """
         if self._layout is None:
             raw = read_spill_header_bytes(self.path)
             try:
-                stride = json.loads(raw)["stride"]
-            except (ValueError, KeyError) as exc:
+                stride = _header(raw, self.path)["stride"]
+            except (KeyError, TypeError) as exc:
                 raise IntegrityViolation(
                     f"{self.path}: corrupt spill segment ({exc})"
                 ) from exc
@@ -894,6 +967,7 @@ class SealedSegment:
         size, self.header_digest = write_spill(
             path, self.source, self.base_digest, self.base_count,
             self.head, self.entries(), self.index,
+            context_table(self._records),
         )
         self.path = path
         self._records = None
@@ -1001,12 +1075,11 @@ class SealedSegment:
         self.base_digest = entries[keep_from - 1][1]
         self.base_count += keep_from
         self.count = len(retained)
-        self.index = SegmentIndex.over(
-            [AuditRecord.from_canonical(c) for c, __ in retained]
-        )
+        records = [AuditRecord.from_canonical(c) for c, __ in retained]
+        self.index = SegmentIndex.over(records)
         __, self.header_digest = write_spill(
             self.path, self.source, self.base_digest, self.base_count,
-            self.head, retained, self.index,
+            self.head, retained, self.index, context_table(records),
         )
         return keep_from
 
@@ -1260,7 +1333,7 @@ class SegmentStore:
         entries.sort(key=lambda e: e["seq"])
         for entry in entries:
             del entry["seq"]
-        return entries
+        return ship_contexts(entries)
 
     # -- integrity ---------------------------------------------------------
 

@@ -2,12 +2,13 @@
 
 ``AuditRecord.canonical()`` is the digest material of every hash chain,
 spill file and checkpoint, so it must stay byte-identical to the
-reference sorted-keys ``json.dumps`` of the record body for every
-record, not just the ones the workloads happen to write.  Its memos
-(context JSON keyed by interned masks, cold contexts keyed by tag
-tuples) must not change a byte either, and verification must keep
-re-serialising the live record, which is what catches an in-memory
-tamper of a slotted record.
+reference sorted-keys ``json.dumps`` of the record body, each context
+named by the sha256 of its own JSON, for every record, not just the
+ones the workloads happen to write.  Its memos (context references
+keyed by interned masks, cold contexts keyed by reference) must not
+change a byte either, and verification must keep re-serialising the
+live record, which is what catches an in-memory tamper of a slotted
+record.
 """
 
 import pytest

@@ -1,5 +1,6 @@
 """Tamper-evident audit log (§8.3, Challenge 6)."""
 
+import hashlib
 import json
 
 import pytest
@@ -135,17 +136,22 @@ class TestPruneAndExport:
 
 
 def _context_reference(ctx):
+    """A context as the format-2 canonical form names it: the sha256
+    hex of the context's sorted-keys JSON, qualified tags walked one by
+    one."""
     if ctx is None:
         return None
-    return {
+    body = {
         "secrecy": sorted(t.qualified for t in ctx.secrecy),
         "integrity": sorted(t.qualified for t in ctx.integrity),
     }
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _reference(record):
     """The reference encoding: one sorted-keys ``json.dumps`` of the
-    eight-key body, with contexts walked tag by tag."""
+    eight-key body, with each context named by its reference."""
     body = {
         "seq": record.seq,
         "timestamp": record.timestamp,

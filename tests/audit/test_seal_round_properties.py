@@ -16,10 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.audit import RecordKind
-from repro.audit.records import AuditRecord
-from repro.audit.storage import SegmentIndex, read_spill, write_spill
+from repro.audit.records import AuditRecord, context_table
+from repro.audit.storage import (
+    SegmentIndex,
+    read_spill,
+    read_spill_header,
+    write_spill,
+)
 from repro.ifc import SecurityContext
-from tests.reference.spill_codec import index_over, spill_image
+from tests.reference.spill_codec import context_entries, index_over, spill_image
 
 DIGESTS = st.binary(min_size=32, max_size=32).map(bytes.hex)
 
@@ -56,6 +61,24 @@ ENTRIES = st.one_of(
     ).map(_with_one_long_slot),
 )
 
+#: A small pool of context objects shared across records, next to
+#: contexts built afresh on each draw (equal labels, distinct objects)
+#: and records without contexts.
+SHARED = [
+    SecurityContext.of(["medical", "ann"], ["hosp-dev"]),
+    SecurityContext.of(["medical", "bob", "location"], ["consent"]),
+    SecurityContext.public(),
+]
+TAG_NAMES = ["medical", "ann", "bob", "location", "hosp-dev", "consent"]
+CONTEXTS = st.one_of(
+    st.none(),
+    st.sampled_from(SHARED),
+    st.builds(
+        SecurityContext.of,
+        st.lists(st.sampled_from(TAG_NAMES), max_size=3, unique=True),
+        st.lists(st.sampled_from(TAG_NAMES), max_size=3, unique=True),
+    ),
+)
 NAMES = st.sets(st.text(max_size=6), max_size=4)
 INDEXES = st.builds(
     SegmentIndex,
@@ -78,43 +101,37 @@ INDEXES = st.builds(
     head=DIGESTS,
     entries=ENTRIES,
     index=INDEXES,
+    contexts=st.lists(CONTEXTS.filter(lambda c: c is not None), max_size=4),
 )
 def test_write_spill_bytes_equal_the_reference(
-    source, base_digest, base_count, head, entries, index
+    source, base_digest, base_count, head, entries, index, contexts
 ):
-    want = spill_image(source, base_digest, base_count, head, entries, index)
+    want = spill_image(
+        source, base_digest, base_count, head, entries, index,
+        context_entries(contexts),
+    )
+    # The table the stores write: the entries records with these
+    # contexts name.
+    table = context_table(
+        AuditRecord(0, 0.0, RecordKind.CUSTOM, "a", "", {}, ctx, None)
+        for ctx in contexts
+    )
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "segment.seg"
         size, header_digest = write_spill(
-            path, source, base_digest, base_count, head, entries, index
+            path, source, base_digest, base_count, head, entries, index,
+            table,
         )
         assert path.read_bytes() == want
         assert [p.name for p in Path(tmp).iterdir()] == ["segment.seg"]
         __, read_back = read_spill(path)
+        assert read_spill_header(path)["contexts"] == table
     assert size == len(want)
     header_len = int.from_bytes(want[8:12], "little")
     assert header_digest == hashlib.sha256(want[12:12 + header_len]).hexdigest()
     assert read_back == entries
 
 
-#: A small pool of context objects shared across records, next to
-#: contexts built afresh on each draw (equal labels, distinct objects)
-#: and records without contexts.
-SHARED = [
-    SecurityContext.of(["medical", "ann"], ["hosp-dev"]),
-    SecurityContext.of(["medical", "bob", "location"], ["consent"]),
-    SecurityContext.public(),
-]
-TAG_NAMES = ["medical", "ann", "bob", "location", "hosp-dev", "consent"]
-CONTEXTS = st.one_of(
-    st.none(),
-    st.sampled_from(SHARED),
-    st.builds(
-        SecurityContext.of,
-        st.lists(st.sampled_from(TAG_NAMES), max_size=3, unique=True),
-        st.lists(st.sampled_from(TAG_NAMES), max_size=3, unique=True),
-    ),
-)
 #: Neither timestamps nor seqs need be monotonic; ints next to floats
 #: and NaN check that the bounds resolve ties and unordered values as
 #: builtin min() and max() do.

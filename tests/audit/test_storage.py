@@ -1,10 +1,26 @@
 """The tiered segment store: seal cadence, demotion to spill files,
 cold-tier verification (header + chain), pruning across tier
-boundaries, and hot/cold export identity (see docs/audit_storage.md)."""
+boundaries, hot/cold export identity, and the format-2 context table
+(see docs/audit_storage.md)."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.audit import AuditRecord, AuditSpine, RecordKind, record_matches
+import repro
+from repro.audit import (
+    AuditLog,
+    AuditRecord,
+    AuditSpine,
+    RecordKind,
+    decode_export,
+    load_spill,
+    record_matches,
+)
+from repro.audit.records import context_table
 from repro.audit.storage import (
     SealedSegment,
     SegmentIndex,
@@ -18,6 +34,15 @@ from repro.ifc import SecurityContext
 from repro.sim import Simulator
 
 CTX = SecurityContext.of(["medical", "ann"], ["hosp-dev"])
+OTHER = SecurityContext.of(["medical", "bob"], ["hosp-dev"])
+
+
+def ref_of(ctx):
+    """The reference a canonical record names ``ctx`` by."""
+    (ref,) = context_table(
+        [AuditRecord(0, 0.0, RecordKind.CUSTOM, "a", "", {}, ctx, None)]
+    )
+    return ref
 
 
 def make_spine(**kw):
@@ -343,7 +368,8 @@ class TestSpillCodec:
         index = SegmentIndex.over(list(seg.records))
         path = tmp_path / "seg.seg"
         size, header_digest = write_spill(
-            path, "bus", seg.base_digest, 0, seg.head, entries, index
+            path, "bus", seg.base_digest, 0, seg.head, entries, index,
+            context_table(seg.records),
         )
         assert size == path.stat().st_size
         header, got = read_spill(path)
@@ -357,7 +383,10 @@ class TestSpillCodec:
         seg, entries = self._entries(5)
         index = SegmentIndex.over(list(seg.records))
         path = tmp_path / "seg.seg"
-        write_spill(path, "bus", seg.base_digest, 0, seg.head, entries, index)
+        write_spill(
+            path, "bus", seg.base_digest, 0, seg.head, entries, index,
+            context_table(seg.records),
+        )
         loaded = SegmentIndex.from_dict(read_spill_header(path)["index"])
         assert loaded.actors == index.actors
         assert loaded.kinds == index.kinds
@@ -503,3 +532,202 @@ class TestSealedSegmentUnit:
         assert chunk.base_count == 3
         chunk.verify()
         assert [r.detail["i"] for r in chunk.records()] == [3, 4, 5, 6, 7]
+
+
+def _decode_alone(decode: str, stdin: str):
+    """Run ``decode`` (an expression over ``stdin``, the text passed in)
+    in a fresh interpreter that imports only the package: no table, no
+    interned tags, no store of this process.  Returns what
+    :func:`_summary` makes of the records it yields."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    code = (
+        "import json, sys\n"
+        "from repro.audit import decode_export, load_spill\n"
+        "from repro.audit.records import _CONTEXTS\n"
+        "assert not _CONTEXTS\n"
+        "stdin = sys.stdin.read()\n"
+        f"records = {decode}\n"
+        "print(json.dumps([[r.canonical(),"
+        " sorted(t.qualified for t in r.source_context.secrecy),"
+        " sorted(t.qualified for t in r.target_context.integrity)]"
+        " for r in records]))\n"
+    )
+    return json.loads(subprocess.run(
+        [sys.executable, "-c", code], input=stdin, capture_output=True,
+        text=True, check=True, env={"PYTHONPATH": src},
+    ).stdout)
+
+
+def _summary(records):
+    return [
+        [r.canonical(),
+         sorted(t.qualified for t in r.source_context.secrecy),
+         sorted(t.qualified for t in r.target_context.integrity)]
+        for r in records
+    ]
+
+
+class TestFormatTwo:
+    """Records name contexts by reference; the header carries the
+    table; readers refuse format 1 and any table entry that does not
+    hash to its key."""
+
+    def _cold(self, tmp_path, n=8):
+        sim, spine = make_spine()
+        spine.configure_spill(tmp_path, hot_segments=0, seal_every=n)
+        fill(sim, spine, n)
+        chunk = spine._store.sealed["bus"][0]
+        assert chunk.is_cold
+        return spine, chunk
+
+    def test_slots_carry_references_and_the_header_the_json_once(
+        self, tmp_path
+    ):
+        __, chunk = self._cold(tmp_path)
+        blob = chunk.path.read_bytes()
+        ref = ref_of(CTX).encode()
+        assert blob.count(ref) == 1 + 2 * chunk.count  # table key + refs
+        assert blob.count(b"local:ann") == 2  # table entry + index tags
+        header = read_spill_header(chunk.path)
+        assert header["version"] == 2
+        assert list(header["contexts"]) == [ref.decode()]
+
+    def test_format_one_file_is_refused_by_name(self, tmp_path):
+        spine, chunk = self._cold(tmp_path)
+        blob = chunk.path.read_bytes()
+        assert blob[:8] == b"RAUDSEG2"
+        chunk.path.write_bytes(b"RAUDSEG1" + blob[8:])
+        for read in (read_spill, read_spill_header, load_spill):
+            with pytest.raises(IntegrityViolation, match="RAUDSEG1"):
+                read(chunk.path)
+        with pytest.raises(IntegrityViolation, match="RAUDSEG1"):
+            chunk.records_at([0])
+        assert not spine.verify(mode="deep")
+
+    @pytest.mark.parametrize("version", [b"1", b"3"])
+    def test_other_header_version_is_refused_by_name(
+        self, tmp_path, version
+    ):
+        spine, chunk = self._cold(tmp_path)
+        blob = chunk.path.read_bytes()
+        assert blob.count(b'"version":2') == 1
+        chunk.path.write_bytes(
+            blob.replace(b'"version":2', b'"version":' + version)
+        )
+        want = f"version {version.decode()}"
+        for read in (read_spill, read_spill_header, load_spill):
+            with pytest.raises(IntegrityViolation, match=want):
+                read(chunk.path)
+        with pytest.raises(IntegrityViolation, match=want):
+            chunk.records_at([0])
+        assert not spine.verify(mode="deep")
+
+    def test_format_one_canonical_is_not_decoded(self):
+        # Format 1 wrote the context JSON where format 2 writes its
+        # reference; such a record is refused, never read as public.
+        record = AuditRecord(3, 1.5, RecordKind.FLOW_ALLOWED, "a", "b", {},
+                             CTX, None)
+        body = json.loads(record.canonical())
+        body["source_context"] = {
+            "integrity": ["local:hosp-dev"],
+            "secrecy": ["local:ann", "local:medical"],
+        }
+        with pytest.raises(IntegrityViolation, match="not a digest"):
+            AuditRecord.from_canonical(
+                json.dumps(body, sort_keys=True, separators=(",", ":"))
+            )
+
+    def test_unknown_reference_is_refused(self):
+        canonical = AuditRecord(
+            0, 0.0, RecordKind.FLOW_ALLOWED, "a", "b", {}, CTX, CTX
+        ).canonical().replace(ref_of(CTX), "0" * 64, 1)
+        with pytest.raises(IntegrityViolation, match="unknown context"):
+            AuditRecord.from_canonical(canonical)
+
+    def test_doctored_table_entry_fails_verify(self, tmp_path):
+        spine, chunk = self._cold(tmp_path)
+        blob = chunk.path.read_bytes()
+        entry = b'\\"local:ann\\"'  # inside the table's JSON string
+        assert blob.count(entry) == 1
+        chunk.path.write_bytes(blob.replace(entry, b'\\"local:bob\\"'))
+        assert not spine.verify(mode="deep")
+        with pytest.raises(IntegrityViolation, match="does not hash"):
+            chunk.verify()
+
+    def test_doctored_table_entry_fails_a_cold_slot_read(self, tmp_path):
+        __, chunk = self._cold(tmp_path)
+        blob = chunk.path.read_bytes()
+        entry = b'\\"local:ann\\"'
+        chunk.path.write_bytes(blob.replace(entry, b'\\"local:bob\\"'))
+        with pytest.raises(IntegrityViolation, match="does not hash"):
+            chunk.records_at([0])
+
+    def test_swapped_reference_breaks_the_chain(self, tmp_path):
+        spine, chunk = self._cold(tmp_path)
+        ref_of(OTHER)  # a valid reference the table holds
+        blob = chunk.path.read_bytes()
+        at = blob.rfind(ref_of(CTX).encode())  # the last slot's target
+        chunk.path.write_bytes(
+            blob[:at] + ref_of(OTHER).encode() + blob[at + 64:]
+        )
+        # A decode alone reads the other, valid context ...
+        assert chunk.records_at([chunk.count - 1])[0].target_context == OTHER
+        # ... and the chain, which covers the reference, refuses it.
+        for mode in ("incremental", "deep"):
+            assert not spine.verify(mode=mode)
+        with pytest.raises(IntegrityViolation, match="chain broken"):
+            load_spill(chunk.path)
+
+    def test_swapped_context_in_a_hot_record_breaks_the_chain(self):
+        sim, spine = make_spine()
+        fill(sim, spine, 4)
+        record = spine._store.tails["bus"].records[1]
+        object.__setattr__(record, "target_context", OTHER)
+        for mode in ("incremental", "deep"):
+            assert not spine.verify(mode=mode)
+
+    def test_cold_segment_decodes_and_verifies_in_a_fresh_process(
+        self, tmp_path
+    ):
+        sim, spine = make_spine()
+        spine.configure_spill(tmp_path, hot_segments=0, seal_every=6)
+        for i in range(6):
+            spine.emit("bus", RecordKind.FLOW_ALLOWED, f"a{i}", "b",
+                       {"i": i}, CTX, OTHER if i % 2 else CTX)
+            sim.clock.advance(1.0)
+        spine.drain()
+        chunk = spine._store.sealed["bus"][0]
+        assert chunk.is_cold
+        want = _summary(chunk.records())
+        assert _decode_alone("load_spill(stdin)", str(chunk.path)) == want
+        # The same file, doctored, fails there too.
+        blob = chunk.path.read_bytes()
+        at = blob.rfind(ref_of(OTHER).encode())
+        chunk.path.write_bytes(blob[:at] + ref_of(CTX).encode() + blob[at + 64:])
+        with pytest.raises(subprocess.CalledProcessError) as failed:
+            _decode_alone("load_spill(stdin)", str(chunk.path))
+        assert "IntegrityViolation" in failed.value.stderr
+
+    def test_export_decodes_in_a_fresh_process(self):
+        log = AuditLog()
+        log.flow_allowed("a", "b", CTX, CTX)
+        log.flow_allowed("a", "c", CTX, OTHER)
+        log.flow_allowed("a", "d", OTHER, CTX)
+        exported = log.export()
+        # Each context ships once, beside the first record naming it.
+        assert [sorted(e.get("contexts", ())) for e in exported] == [
+            [ref_of(CTX)], [ref_of(OTHER)], [],
+        ]
+        assert decode_export(exported) == list(log)
+        assert _decode_alone(
+            "decode_export(json.loads(stdin))", json.dumps(exported)
+        ) == _summary(log)
+
+    def test_doctored_export_entry_is_refused(self):
+        log = AuditLog()
+        log.flow_allowed("a", "b", CTX, CTX)
+        exported = log.export()
+        ((ref, text),) = exported[0]["contexts"].items()
+        exported[0]["contexts"][ref] = text.replace("local:ann", "local:bob")
+        with pytest.raises(IntegrityViolation, match="does not hash"):
+            decode_export(exported)

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.audit import (
     AuditCollector,
+    AuditRecord,
     AuditSpine,
     CheckpointClaim,
     FederationPinboard,
@@ -30,6 +31,7 @@ from repro.audit import (
     VerifyStats,
 )
 from repro.audit.log import AuditLog
+from repro.audit.records import context_table
 from repro.errors import IntegrityViolation
 from repro.ifc import SecurityContext
 from repro.sim import Simulator
@@ -179,12 +181,32 @@ class TestWatermarkCursors:
         assert log.verify(mode="incremental")  # accepted, full recompute
 
 
+def _ref(ctx):
+    """The reference a canonical record names ``ctx`` by (the table
+    then holds it, so it is a valid reference to swap in)."""
+    (ref,) = context_table(
+        [AuditRecord(0, 0.0, RecordKind.CUSTOM, "a", "", {}, ctx, None)]
+    )
+    return ref.encode()
+
+
+OTHER = SecurityContext.of(["medical", "bob"], ["hosp-dev"])
+
 TAMPERS = {
     "record_slot": lambda p: p.write_bytes(
         _rreplace(p.read_bytes(), b'"subj"', b'"EVIL"')
     ),
     "header": lambda p: p.write_bytes(
         p.read_bytes().replace(b'"actor0"', b'"actorX"', 1)
+    ),
+    # One tag of the header's context-table entry (inside its JSON
+    # string, hence the escaped quotes).
+    "context_entry": lambda p: p.write_bytes(
+        p.read_bytes().replace(b'\\"local:ann\\"', b'\\"local:bob\\"', 1)
+    ),
+    # A record's reference swapped for another valid one.
+    "context_swap": lambda p: p.write_bytes(
+        _rreplace(p.read_bytes(), _ref(CTX), _ref(OTHER))
     ),
     "truncate": lambda p: p.write_bytes(p.read_bytes()[:40]),
     "missing_file": lambda p: p.unlink(),

@@ -6,24 +6,46 @@ once per field (contexts, postings, time and seq bounds, kinds), and
 :func:`~repro.audit.storage.write_spill` sliced every slot into a
 preallocated ``bytearray`` and copied it again with ``bytes()``.  Both
 are kept here as the oracles the one-join writer and the single-loop
-index are checked against.
+index are checked against.  The format-2 parts (magic, version and the
+header's context table) are spelled out here with plain ``json.dumps``
+and ``hashlib``, not taken from the module under test.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.audit.log import _DIGEST_BYTES
 from repro.audit.records import AuditRecord, _context_tags
 from repro.audit.storage import (
     _LEN,
-    SPILL_MAGIC,
-    SPILL_VERSION,
     SegmentIndex,
     _align16,
     _extend_postings,
 )
+from repro.ifc import SecurityContext
+
+MAGIC = b"RAUDSEG2"
+VERSION = 2
+
+
+def context_entries(contexts: Iterable[SecurityContext]) -> Dict[str, str]:
+    """The header's context table: sha256 hex of each context's
+    sorted-keys JSON → that JSON."""
+    table = {}
+    for ctx in contexts:
+        text = json.dumps(
+            {
+                "secrecy": sorted(t.qualified for t in ctx.secrecy),
+                "integrity": sorted(t.qualified for t in ctx.integrity),
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        table[hashlib.sha256(text.encode()).hexdigest()] = text
+    return table
 
 
 def index_over(records: List[AuditRecord]) -> SegmentIndex:
@@ -63,6 +85,7 @@ def spill_image(
     head: str,
     entries: List[Tuple[str, str]],
     index: SegmentIndex,
+    contexts: Dict[str, str],
 ) -> bytes:
     """The bytes a spill file holds, built slot by slot in a buffer."""
     encoded = [c.encode() for c, __ in entries]
@@ -71,7 +94,7 @@ def spill_image(
     )
     header = json.dumps(
         {
-            "version": SPILL_VERSION,
+            "version": VERSION,
             "source": source,
             "base_digest": base_digest,
             "base_count": base_count,
@@ -79,14 +102,15 @@ def spill_image(
             "head": head,
             "stride": stride,
             "index": index.to_dict(),
+            "contexts": contexts,
         },
         sort_keys=True,
         separators=(",", ":"),
     ).encode()
-    data_start = _align16(len(SPILL_MAGIC) + _LEN.size + len(header))
+    data_start = _align16(len(MAGIC) + _LEN.size + len(header))
     buf = bytearray(data_start + stride * len(entries))
-    buf[: len(SPILL_MAGIC)] = SPILL_MAGIC
-    pos = len(SPILL_MAGIC)
+    buf[: len(MAGIC)] = MAGIC
+    pos = len(MAGIC)
     buf[pos:pos + _LEN.size] = _LEN.pack(len(header))
     pos += _LEN.size
     buf[pos:pos + len(header)] = header
