@@ -23,9 +23,9 @@ test:
 # Lint floor: bytecode-compile everything, then ruff's deterministic
 # error set (see ruff.toml).  ruff is optional locally; CI installs it.
 lint:
-	$(PYTHON) -m compileall -q src tests benchmarks examples
+	$(PYTHON) -m compileall -q src tests benchmarks examples scripts
 	@if command -v ruff >/dev/null 2>&1; then \
-		ruff check src tests benchmarks examples; \
+		ruff check src tests benchmarks examples scripts; \
 	else \
 		echo "ruff not installed; compileall-only lint"; \
 	fi

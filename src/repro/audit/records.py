@@ -20,6 +20,7 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set
 
 from repro.errors import IntegrityViolation, TagError
 from repro.ifc.labels import Label, SecurityContext
+from repro.ifc.tags import Tag
 
 
 class RecordKind(str, Enum):
@@ -49,6 +50,11 @@ class RecordKind(str, Enum):
     FEDERATION_PIN = "federation-pin"
     ANALYSIS = "analysis"
     CUSTOM = "custom"
+
+
+#: Value → member, for decoding: one dict hit, where ``RecordKind(v)``
+#: runs the Enum constructor.
+_KINDS: Dict[str, RecordKind] = {kind.value: kind for kind in RecordKind}
 
 
 def _make_encoder():
@@ -126,12 +132,56 @@ def _context_ref(secrecy: int, integrity: int) -> str:
     return '"%s"' % ref
 
 
-def register_contexts(entries: Any) -> None:
-    """Add table entries that arrive from outside (a spill header, an
-    export): a mapping of reference → context JSON.
+#: Outside table entries refused so far: hash-valid, but named by no
+#: record being decoded, or no security context (:func:`context_stats`).
+_TABLE_STATS = {"refused": 0}
+
+#: The keys a canonical record names its contexts under.  Only numbers
+#: and JSON strings (no bare ``"``) follow them, so each key's last
+#: occurrence is the record's own, not one inside ``detail``.
+_REF_KEYS = ('"source_context":', '"target_context":')
+
+
+def named_contexts(canonicals: Iterable[str]) -> Set[str]:
+    """The context references the canonical records name, read from
+    their fixed places without decoding a record."""
+    named: Set[str] = set()
+    for canonical in canonicals:
+        if canonical.__class__ is not str:
+            continue
+        for key in _REF_KEYS:
+            at = canonical.rfind(key) + len(key)
+            if at >= len(key) and canonical[at:at + 1] == '"':
+                named.add(canonical[at + 1:at + 65])
+    return named
+
+
+def _is_context(text: str) -> bool:
+    """Whether ``text`` is a context's JSON exactly as
+    :func:`_context_ref` writes it (checked without interning a tag)."""
+    try:
+        body = json.loads(text)
+        return (
+            body.keys() == {"secrecy", "integrity"}
+            and all(
+                names == sorted({Tag.parse(name).qualified for name in names})
+                for names in body.values()
+            )
+            and _encode(body) == text
+        )
+    except (ValueError, TypeError, AttributeError, TagError, RecursionError):
+        return False
+
+
+def register_contexts(entries: Any, named: Set[str]) -> None:
+    """Admit the entries of an outside table (a spill header, an
+    export: reference → context JSON) that the records being decoded
+    name (``named``, from :func:`named_contexts`).
 
     Raises :class:`IntegrityViolation` unless every entry's sha256 is
-    its key, so a doctored entry can never name a context.
+    its key, so a doctored entry can never name a context.  A
+    hash-valid entry no record names, or that is no security context,
+    is refused and counted (:func:`context_stats`).
     """
     if entries.__class__ is not dict:
         raise IntegrityViolation("context table is not a mapping")
@@ -147,7 +197,16 @@ def register_contexts(entries: Any) -> None:
                 f"context table entry {str(ref)[:16]!r}... does not hash "
                 f"to its key"
             )
-        _CONTEXTS[ref] = text
+        if ref in named and _is_context(text):
+            _CONTEXTS[ref] = text
+        else:
+            _TABLE_STATS["refused"] += 1
+
+
+def context_stats() -> Dict[str, int]:
+    """The process's context table: entries held, outside entries
+    refused."""
+    return {"entries": len(_CONTEXTS), "refused": _TABLE_STATS["refused"]}
 
 
 def _context_of_ref(ref: Any) -> Optional[SecurityContext]:
@@ -182,22 +241,6 @@ def _resolve(ref: str) -> SecurityContext:
         ) from exc
 
 
-def context_table(records: Iterable["AuditRecord"]) -> Dict[str, str]:
-    """The table entries the records' canonical forms name."""
-    # Enforcement reuses a handful of context objects across many
-    # records: dedupe by identity before asking for references.
-    contexts: Dict[int, Optional[SecurityContext]] = {}
-    for r in records:
-        contexts[id(r.source_context)] = r.source_context
-        contexts[id(r.target_context)] = r.target_context
-    table: Dict[str, str] = {}
-    for ctx in contexts.values():
-        if ctx is not None:
-            ref = _context_ref(ctx.secrecy.mask, ctx.integrity.mask)[1:-1]
-            table[ref] = _CONTEXTS[ref]
-    return table
-
-
 def ship_contexts(entries: List[Dict]) -> List[Dict]:
     """Give each export entry that is the first to name a context a
     ``"contexts"`` map of those table entries, so the export decodes
@@ -220,8 +263,9 @@ def decode_export(entries: Iterable[Dict]) -> List["AuditRecord"]:
     entries it ships; raises :class:`IntegrityViolation` for a doctored
     entry or a reference the export does not resolve."""
     entries = list(entries)
+    named = named_contexts(e["record"] for e in entries)
     for entry in entries:
-        register_contexts(entry.get("contexts", {}))
+        register_contexts(entry.get("contexts", {}), named)
     return [AuditRecord.from_canonical(e["record"]) for e in entries]
 
 
@@ -335,7 +379,7 @@ class AuditRecord:
             return cls(
                 seq=body["seq"],
                 timestamp=body["timestamp"],
-                kind=RecordKind(body["kind"]),
+                kind=_KINDS[body["kind"]],
                 actor=body["actor"],
                 subject=body["subject"],
                 detail=body["detail"] or {},

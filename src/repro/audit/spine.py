@@ -29,6 +29,9 @@ path.  The :class:`AuditSpine` is the per-machine remedy:
 Tamper-evidence window: records become tamper-evident when drained into
 their segment, so the drain cadence (ring capacity / clock ticks) bounds
 the window in which an in-memory mutation would be chained as mutated.
+A drained segment keeps the canonical strings it hashed, not the
+emitted objects; a record a read returns is held to its string by
+:meth:`verify`.
 This is the deliberate trade the spine makes for taking hashing off the
 delivery path; a plain unbuffered :class:`~repro.audit.log.AuditLog`
 keeps the append-time guarantee where that matters more than
@@ -295,17 +298,6 @@ class AuditSpine(RecorderMixin):
             f"<AuditSpine {self.name} segments={len(self._store.tails)} "
             f"records={len(self)} staged={self.pending}>"
         )
-
-    @property
-    def _segments(self) -> Dict[str, AuditSegment]:
-        """Back-compat view: source → open tail segment.
-
-        Pre-tiering code (and tests) reached into ``spine._segments``;
-        the authoritative layout now lives in :attr:`_store`.  With no
-        spill configured every record is in the tail, so this view is
-        complete; with tiering on it shows only the un-sealed suffix.
-        """
-        return dict(self._store.tails)
 
     # -- emission (the delivery-path side) ---------------------------------
 
@@ -626,13 +618,11 @@ class AuditSpine(RecorderMixin):
                     chunk.records() if offsets is None
                     else chunk.records_at(offsets)
                 )
-            # The open tail's postings catch up from their cursor.
             tail = store.tails[source]
             offsets = tail.candidates(actor, subject, entity)
-            records = tail.records
             reads.append(
-                list(records) if offsets is None
-                else [records[i] for i in offsets]
+                tail.records() if offsets is None
+                else tail.records_at(offsets)
             )
         matched: List[AuditRecord] = []
         for records in reads:
@@ -677,7 +667,7 @@ class AuditSpine(RecorderMixin):
 
     def checkpoints(self) -> List[AuditRecord]:
         """The retained checkpoint records (oldest first)."""
-        return list(self._ckpt.records)
+        return self._ckpt.records()
 
     # -- verification -------------------------------------------------------
 
@@ -730,8 +720,7 @@ class AuditSpine(RecorderMixin):
             # The checkpoint chain itself is hot in-memory state: always
             # recomputed in full, in either mode.
             stats.bytes_hashed += self._ckpt.verify()
-            records = self._ckpt.records
-            stats.checkpoints_total = len(records)
+            stats.checkpoints_total = self._ckpt.count
             start_idx = 0
             if not deep:
                 bound = self._ckpt_bound
@@ -749,8 +738,11 @@ class AuditSpine(RecorderMixin):
                     # either a cold watermark key or this digest.
                     start_idx = bound[0] - self._ckpt.base_count
             stats.checkpoints_skipped = start_idx
-            stats.checkpoints_verified = len(records) - start_idx
-            for record in records[start_idx:]:
+            stats.checkpoints_verified = self._ckpt.count - start_idx
+            # Decode the strings the replay above just checked, keeping
+            # nothing: a memo would hold a copy of the whole chain.
+            for canonical in self._ckpt.canonicals[start_idx:]:
+                record = AuditRecord.from_canonical(canonical)
                 heads = record.detail.get("heads", {})
                 counts = record.detail.get("counts", {})
                 for source, head in heads.items():
@@ -816,14 +808,7 @@ class AuditSpine(RecorderMixin):
         """
         self.drain()
         pruned = self._store.prune_before(timestamp)
-        keep_from = 0
-        checkpoints = self._ckpt.records
-        while (
-            keep_from < len(checkpoints)
-            and checkpoints[keep_from].timestamp < timestamp
-        ):
-            keep_from += 1
-        self._ckpt.prune_prefix(keep_from)
+        self._ckpt.prune_prefix(self._ckpt.age_prefix(timestamp))
         # Pruning moves segment bases and the checkpoint chain's
         # base: the binding watermark no longer describes the
         # retained history.
@@ -869,6 +854,5 @@ class AuditSpine(RecorderMixin):
     def export_checkpoints(self) -> List[Dict]:
         """Serialise the checkpoint chain (records + digests)."""
         return ship_contexts([
-            {"record": r.canonical(), "digest": d}
-            for r, d in zip(self._ckpt.records, self._ckpt.digests)
+            {"record": c, "digest": d} for c, d in self._ckpt.entries()
         ])

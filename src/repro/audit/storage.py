@@ -8,25 +8,31 @@ hot/cold tiering pattern of patient-monitoring stacks (a hot store for
 "the last hour of vitals", a cold store for long-term analytics):
 
 * **Hot tail** — each source chains into an open, in-memory
-  :class:`AuditSegment` exactly as before.
+  :class:`AuditSegment`.  A chunk is the bytes it hashed: the tail
+  keeps each record's canonical string and chain digest, not the
+  record, and gathers the seal-time index material (postings, kinds,
+  contexts, time and seq bounds) as records chain.
 * **Seal** — when the tail reaches ``seal_every`` records it is sealed
-  into an immutable :class:`SealedSegment`; a compact
-  :class:`SegmentIndex` (time bounds, actors, subjects, kinds, tags) is
-  built at seal time, and the source continues in a fresh tail whose
-  chain base is the sealed head — the chain is continuous across
-  seals.
+  into an immutable :class:`SealedSegment`: the strings and digests
+  move over unchanged, a compact :class:`SegmentIndex` (time bounds,
+  actors, subjects, kinds, tags) is built from the tail's columns, and
+  the source continues in a fresh tail whose chain base is the sealed
+  head — the chain is continuous across seals.
 * **Demote** — sealed segments beyond the ``hot_segments`` newest are
   spilled to disk in a fixed-stride, mmap-able record format (header +
-  chain digests preserved verbatim) and their in-memory records are
+  the strings and chain digests verbatim) and the in-memory strings are
   dropped.  Only the segment's base/head digests, counts and index stay
   resident, so ``verify()`` still holds the file to the digests the
   live process committed to.
 
-Everything that *observes* the chain — ``verify()``, ``export()``,
-checkpoint receipts, federation pinboard verdicts — reads identically
-whether a segment is hot or spilled; :class:`~repro.audit.query.
-AuditQuery` uses the per-segment indexes to answer entity/tag/time
-queries from index probes plus a bounded number of segment scans.
+Reads decode the stored strings (``AuditRecord.from_canonical``); a hot
+chunk's memo keeps each record decoded at most once, and ``verify()``
+replays the strings and re-serialises every memoised record against its
+string.  Everything that *observes* the chain — ``verify()``,
+``export()``, checkpoint receipts, federation pinboard verdicts — reads
+identically whether a segment is hot or spilled; :class:`~repro.audit.
+query.AuditQuery` answers entity/tag/time queries from the per-segment
+indexes plus a bounded number of segment scans.
 
 On-disk record format, version 2 (one file per sealed segment)::
 
@@ -42,10 +48,11 @@ On-disk record format, version 2 (one file per sealed segment)::
         padding  zeros to stride
 
 A canonical record names each security context by reference (the
-sha256 hex of the context's JSON); the header's ``contexts`` maps every
-reference the file's records name to that JSON, so the file decodes
-and verifies alone.  Readers check each entry against its key and
-refuse any other magic or version (a ``RAUDSEG1`` file included) with
+sha256 hex of the context's JSON); the header's ``contexts`` maps
+exactly the references the file's records name to that JSON, so the
+file decodes and verifies alone.  Readers check each entry against its
+key, admit only entries the slots they decode name, and refuse any
+other magic or version (a ``RAUDSEG1`` file included) with
 :class:`~repro.errors.IntegrityViolation`.
 
 Fixed stride means record ``i`` is one pointer computation away under
@@ -62,21 +69,29 @@ import os
 import re
 import struct
 import time
+from array import array
 from bisect import bisect_left
-from itertools import islice
+from operator import itemgetter
 from pathlib import Path
-from typing import AbstractSet, Callable, Dict, List, Optional, Set, Tuple
+from types import SimpleNamespace
+from typing import (
+    AbstractSet, Callable, Dict, Iterable, List, Optional, Sequence, Set,
+    Tuple,
+)
 
 from repro.audit.log import _DIGEST_BYTES, chain_digest, replay_chain
 from repro.audit.records import (
+    _CONTEXTS,
     AuditRecord,
+    _context_ref,
     _context_tags,
-    context_table,
+    named_contexts,
     register_contexts,
     ship_contexts,
 )
 from repro.audit.verify import VerifyStats
 from repro.errors import IntegrityViolation
+from repro.ifc.labels import SecurityContext
 
 SPILL_MAGIC = b"RAUDSEG2"
 SPILL_VERSION = 2
@@ -101,6 +116,194 @@ def _segment_genesis(spine_name: str, source: str) -> str:
     ).hexdigest()
 
 
+#: Stands in for a missing context in a shape key: its masks are None.
+_NO_CONTEXT = SimpleNamespace(
+    secrecy=SimpleNamespace(_mask=None), integrity=SimpleNamespace(_mask=None)
+)
+
+
+class _Columns:
+    """A chunk's index material, gathered as its records chain:
+    per-actor and per-subject posting lists (ascending offsets in
+    ``array("I")``), and columns of timestamps, seqs and *shapes* (a
+    record's kind and contexts, numbered as first chained, keyed by
+    masks).  :meth:`index` builds a :class:`SegmentIndex` and context
+    table from them and :meth:`split` cuts them at a seal or prune, so
+    neither decodes a record."""
+
+    __slots__ = ("by_actor", "by_subject", "times", "seqs", "shapes",
+                 "_shape_ids", "_shape_list")
+
+    def __init__(self) -> None:
+        self.by_actor: Dict[str, array] = {}
+        self.by_subject: Dict[str, array] = {}
+        # A bound is the very value builtin min() or max() keeps, so a
+        # timestamp that is no float (or is NaN), or a seq that is no
+        # int64, turns its column into a list that keeps the value.
+        self.times = array("d")
+        self.seqs = array("q")
+        self.shapes = array("I")
+        self._shape_ids: Dict[Tuple, int] = {}
+        self._shape_list: List[Tuple] = []
+
+    @classmethod
+    def over(cls, records: Iterable[AuditRecord]) -> "_Columns":
+        columns = cls()
+        for record in records:
+            columns.add(record)
+        return columns
+
+    def add(self, record: AuditRecord) -> None:
+        shapes = self.shapes
+        offset = len(shapes)
+        posting = self.by_actor.get(record.actor)
+        if posting is None:
+            self.by_actor[record.actor] = array("I", (offset,))
+        else:
+            posting.append(offset)
+        posting = self.by_subject.get(record.subject)
+        if posting is None:
+            self.by_subject[record.subject] = array("I", (offset,))
+        else:
+            posting.append(offset)
+        ts = record.timestamp
+        if self.times.__class__ is array and (
+            ts.__class__ is not float or ts != ts
+        ):
+            self.times = list(self.times)
+        self.times.append(ts)
+        try:
+            self.seqs.append(record.seq)
+        except (OverflowError, TypeError):
+            self.seqs = list(self.seqs)
+            self.seqs.append(record.seq)
+        # A context is never falsy: ``or`` picks the stand-in for None.
+        src = record.source_context or _NO_CONTEXT
+        tgt = record.target_context or _NO_CONTEXT
+        key = (
+            record.kind._value_, src.secrecy._mask, src.integrity._mask,
+            tgt.secrecy._mask, tgt.integrity._mask,
+        )
+        shape = self._shape_ids.get(key)
+        if shape is None:
+            shape = self._shape_ids[key] = len(self._shape_list)
+            self._shape_list.append(
+                (key[0], record.source_context, record.target_context)
+            )
+        shapes.append(shape)
+
+    def split(self, k: int) -> "_Columns":
+        """Cut off the first ``k`` records' material and return it; the
+        rest stays here, its offsets rebased to 0."""
+        head = _Columns.__new__(_Columns)
+        head.by_actor, self.by_actor = _split_postings(self.by_actor, k)
+        head.by_subject, self.by_subject = _split_postings(self.by_subject, k)
+        head.times, self.times = self.times[:k], self.times[k:]
+        head.seqs, self.seqs = self.seqs[:k], self.seqs[k:]
+        head.shapes, self.shapes = self.shapes[:k], self.shapes[k:]
+        head._shape_ids = self._shape_ids
+        head._shape_list = self._shape_list
+        return head
+
+    def index(self) -> Tuple["SegmentIndex", Dict[str, str]]:
+        """The index over every record gathered here, and the
+        context-table entries those records name."""
+        kinds: Set[str] = set()
+        contexts: Dict[Tuple[int, int], SecurityContext] = {}
+        for shape in set(self.shapes):
+            kind, src, tgt = self._shape_list[shape]
+            kinds.add(kind)
+            for ctx in (src, tgt):
+                if ctx is not None:
+                    contexts[ctx.secrecy.mask, ctx.integrity.mask] = ctx
+        tags: Set[str] = set()
+        table: Dict[str, str] = {}
+        for (secrecy, integrity), ctx in contexts.items():
+            tags |= _context_tags(ctx)
+            ref = _context_ref(secrecy, integrity)[1:-1]
+            table[ref] = _CONTEXTS[ref]
+        index = SegmentIndex(
+            time_min=min(self.times),
+            time_max=max(self.times),
+            seq_min=min(self.seqs),
+            seq_max=max(self.seqs),
+            actors=self.by_actor.keys(),
+            # The empty subject is a posting like any other (a
+            # ``subject=""`` query must find it); the header leaves it out.
+            subjects=self.by_subject.keys(),
+            kinds=kinds,
+            tags=tags,
+            by_actor=self.by_actor,
+            by_subject=self.by_subject,
+        )
+        return index, table
+
+
+def _split_postings(
+    postings: Dict[str, array], k: int
+) -> Tuple[Dict[str, array], Dict[str, array]]:
+    """Posting lists cut at offset ``k``: those below, and those from
+    ``k`` on, rebased to 0."""
+    head: Dict[str, array] = {}
+    rest: Dict[str, array] = {}
+    for name, offsets in postings.items():
+        cut = bisect_left(offsets, k)
+        if cut:
+            head[name] = offsets if cut == len(offsets) else offsets[:cut]
+        if cut < len(offsets):
+            rest[name] = array("I", [i - k for i in offsets[cut:]])
+    return head, rest
+
+
+def _split_memo(
+    memo: Dict[int, AuditRecord], k: int
+) -> Tuple[Dict[int, AuditRecord], Dict[int, AuditRecord]]:
+    """A decode memo cut at offset ``k``, the rest rebased to 0."""
+    return (
+        {i: record for i, record in memo.items() if i < k},
+        {i - k: record for i, record in memo.items() if i >= k},
+    )
+
+
+def _decoded(
+    canonicals: List[str], memo: Dict[int, AuditRecord], offsets: Iterable[int]
+) -> List[AuditRecord]:
+    """The records at ``offsets``, each decoded at most once per chunk:
+    the memo keeps what it decoded until the chunk is demoted."""
+    result = []
+    for i in offsets:
+        record = memo.get(i)
+        if record is None:
+            record = memo[i] = AuditRecord.from_canonical(canonicals[i])
+        result.append(record)
+    return result
+
+
+def _verify_strings(
+    what: str,
+    base_digest: str,
+    base_count: int,
+    canonicals: Sequence[str],
+    digests: Sequence[str],
+    memo: Dict[int, AuditRecord],
+) -> int:
+    """Replay a chunk's stored strings from its base, then hold every
+    record a read was handed (the memo) to the string it came from.
+    Returns the digest-material bytes re-hashed."""
+    hashed, bad = replay_chain(base_digest, canonicals, digests)
+    if bad is not None:
+        raise IntegrityViolation(
+            f"{what} chain broken at record {base_count + bad}"
+        )
+    for i, record in memo.items():
+        if record.canonical() != canonicals[i]:
+            raise IntegrityViolation(
+                f"{what}: record {base_count + i} was altered after a "
+                f"read returned it"
+            )
+    return hashed
+
+
 class AuditSegment:
     """One source's open hash-chain tail inside a spine.
 
@@ -111,37 +314,28 @@ class AuditSegment:
     the absolute position of the first retained record — pruning (or
     sealing) a prefix promotes the last covered digest to
     ``base_digest``, keeping the retained suffix verifiable, exactly
-    like ``AuditLog.prune_before``.  The tail's posting lists (the
-    open-tail half of the query index) are caught up lazily by
-    :meth:`candidates` and start over on every prefix prune.
+    like ``AuditLog.prune_before``.
+
+    The tail keeps the canonical strings it hashed, not the records:
+    reads decode them through a per-chunk memo, and its
+    :class:`_Columns` hold the query postings and what a seal needs.
     """
 
     __slots__ = (
-        "source", "records", "digests", "base_digest", "base_count",
-        "canonicals", "_indexed", "_by_actor", "_by_subject",
+        "source", "canonicals", "digests", "base_digest", "base_count",
+        "columns", "_memo",
     )
+
+    is_cold = False
 
     def __init__(self, source: str, genesis: str):
         self.source = source
-        self.records: List[AuditRecord] = []
+        self.canonicals: List[str] = []
         self.digests: List[str] = []
         self.base_digest = genesis
         self.base_count = 0
-        #: Canonical serialisations kept alongside the records, so seal
-        #: and demote never re-serialise (the spill file wants exactly
-        #: the bytes that were hashed).  Only populated on tiered tails
-        #: (``SegmentStore.configure_spill``); plain in-memory spines
-        #: skip the extra retention.
-        self.canonicals: Optional[List[str]] = None
-        self._reset_postings()
-
-    def _reset_postings(self) -> None:
-        # Per-actor / per-subject offsets into ``records``, built up to
-        # the ``_indexed`` cursor only when a query asks for them
-        # (:meth:`candidates`), so :meth:`chain` pays nothing for them.
-        self._indexed = 0
-        self._by_actor: Dict[str, List[int]] = {}
-        self._by_subject: Dict[str, List[int]] = {}
+        self.columns = _Columns()
+        self._memo: Dict[int, AuditRecord] = {}
 
     @property
     def head(self) -> str:
@@ -149,18 +343,22 @@ class AuditSegment:
         return self.digests[-1] if self.digests else self.base_digest
 
     @property
+    def count(self) -> int:
+        """Retained records."""
+        return len(self.digests)
+
+    @property
     def total(self) -> int:
         """Absolute chain position of the head (pruned + retained)."""
-        return self.base_count + len(self.records)
+        return self.base_count + len(self.digests)
 
     def chain(self, record: AuditRecord) -> str:
         """Fold one record into this segment's chain."""
         canonical = record.canonical()
         digest = chain_digest(self.head, canonical)
-        self.records.append(record)
+        self.columns.add(record)
+        self.canonicals.append(canonical)
         self.digests.append(digest)
-        if self.canonicals is not None:
-            self.canonicals.append(canonical)
         return digest
 
     def digest_at(self, position: int) -> Optional[str]:
@@ -177,38 +375,65 @@ class AuditSegment:
             return None
         return self.digests[position - self.base_count - 1]
 
+    def entries(self) -> List[Tuple[str, str]]:
+        """(canonical, digest) pairs, verbatim."""
+        return list(zip(self.canonicals, self.digests))
+
+    def records(self) -> List[AuditRecord]:
+        """Every retained record, oldest first."""
+        return _decoded(self.canonicals, self._memo, range(self.count))
+
+    def records_at(self, offsets: Iterable[int]) -> List[AuditRecord]:
+        """The records at ``offsets`` (e.g. from :meth:`candidates`)."""
+        return _decoded(self.canonicals, self._memo, offsets)
+
     def verify(self) -> int:
         """Recompute the whole retained chain, raising on mismatch.
 
         Returns the number of digest-material bytes re-hashed (the
         verification plane's accounting currency).
         """
-        hashed, bad = replay_chain(
-            self.base_digest,
-            map(AuditRecord.canonical, self.records),
-            self.digests,
+        return _verify_strings(
+            f"segment {self.source!r}", self.base_digest, self.base_count,
+            self.canonicals, self.digests, self._memo,
         )
-        if bad is not None:
-            raise IntegrityViolation(
-                f"segment {self.source!r} chain broken at seq "
-                f"{self.records[bad].seq}"
-            )
-        return hashed
+
+    def age_prefix(self, timestamp: float) -> int:
+        """Length of the leading run of records older than ``timestamp``."""
+        times = self.columns.times
+        k = 0
+        while k < len(times) and times[k] < timestamp:
+            k += 1
+        return k
 
     def prune_prefix(self, keep_from: int) -> int:
         """Drop the first ``keep_from`` retained records, rebasing the
         chain on the last pruned digest.  Returns the number pruned."""
         if keep_from <= 0:
             return 0
-        self.base_digest = self.digests[keep_from - 1]
-        self.base_count += keep_from
-        self.records = self.records[keep_from:]
-        self.digests = self.digests[keep_from:]
-        if self.canonicals is not None:
-            self.canonicals = self.canonicals[keep_from:]
-        # Every offset moved: the postings start over on the next query.
-        self._reset_postings()
+        self.columns.split(keep_from)
+        self._rebase(keep_from)
         return keep_from
+
+    def seal(self, k: int) -> "SealedSegment":
+        """Move the first ``k`` records into a hot sealed segment: their
+        strings, digests and memo entries unchanged, their index built
+        from the columns.  The tail rebases onto the sealed head."""
+        index, contexts = self.columns.split(k).index()
+        memo, __ = _split_memo(self._memo, k)
+        chunk = SealedSegment(
+            self.source, self.base_digest, self.base_count,
+            self.canonicals[:k], self.digests[:k], index, contexts, memo,
+        )
+        self._rebase(k)
+        return chunk
+
+    def _rebase(self, k: int) -> None:
+        self.base_digest = self.digests[k - 1]
+        self.base_count += k
+        self.canonicals = self.canonicals[k:]
+        self.digests = self.digests[k:]
+        __, self._memo = _split_memo(self._memo, k)
 
     def candidates(
         self,
@@ -216,48 +441,17 @@ class AuditSegment:
         subject: Optional[str] = None,
         entity: Optional[str] = None,
     ) -> Optional[List[int]]:
-        """Offsets into ``records`` that can match, or None (scan all).
-
-        Catches the postings up from the cursor first — the only time
-        the open tail's postings are ever built.
-        """
-        if actor is None and subject is None and entity is None:
-            return None
-        records = self.records
-        if self._indexed < len(records):
-            _extend_postings(
-                self._by_actor, self._by_subject, records, self._indexed
-            )
-            self._indexed = len(records)
+        """Offsets of the only records that can match, or None (read
+        them all) when the filter names no actor, subject or entity."""
         return _candidates(
-            self._by_actor, self._by_subject, actor, subject, entity
+            self.columns.by_actor, self.columns.by_subject,
+            actor, subject, entity,
         )
 
 
-def _extend_postings(
-    by_actor: Dict[str, List[int]],
-    by_subject: Dict[str, List[int]],
-    records: List[AuditRecord],
-    start: int,
-) -> None:
-    """Append each record's offset (from ``start``) to its actor's and
-    its subject's posting list."""
-    for i, r in enumerate(islice(records, start, None), start):
-        posting = by_actor.get(r.actor)
-        if posting is None:
-            by_actor[r.actor] = [i]
-        else:
-            posting.append(i)
-        posting = by_subject.get(r.subject)
-        if posting is None:
-            by_subject[r.subject] = [i]
-        else:
-            posting.append(i)
-
-
 def _candidates(
-    by_actor: Dict[str, List[int]],
-    by_subject: Dict[str, List[int]],
+    by_actor: Dict[str, array],
+    by_subject: Dict[str, array],
     actor: Optional[str],
     subject: Optional[str],
     entity: Optional[str],
@@ -269,24 +463,20 @@ def _candidates(
     every match; ``entity`` is actor *or* subject, so its list is the
     union of both.
     """
-    best: Optional[List[int]] = None
+    empty = array("I")
+    best = None
     if actor is not None:
-        best = by_actor.get(actor, [])
+        best = by_actor.get(actor, empty)
     if subject is not None:
-        posting = by_subject.get(subject, [])
+        posting = by_subject.get(subject, empty)
         if best is None or len(posting) < len(best):
             best = posting
     if entity is not None:
-        as_actor = by_actor.get(entity, [])
-        as_subject = by_subject.get(entity, [])
+        as_actor = by_actor.get(entity, empty)
+        as_subject = by_subject.get(entity, empty)
         if best is None or len(as_actor) + len(as_subject) < len(best):
-            if not as_subject:
-                best = as_actor
-            elif not as_actor:
-                best = as_subject
-            else:
-                best = sorted(set(as_actor).union(as_subject))
-    return best
+            best = sorted(set(as_actor).union(as_subject))
+    return None if best is None else list(best)
 
 
 class SegmentIndex:
@@ -299,9 +489,9 @@ class SegmentIndex:
     Indexes stay resident even when the segment's records are cold —
     they are the hot map over the cold tier.
 
-    Built by :meth:`over`, the index also holds per-actor and
-    per-subject *posting lists* (``by_actor`` / ``by_subject``: name →
-    ascending record offsets); ``actors`` and ``subjects`` are those
+    Built at seal time, the index also holds per-actor and per-subject
+    *posting lists* (``by_actor`` / ``by_subject``: name → ascending
+    record offsets); ``actors`` and ``subjects`` are those
     dicts' keys, and :meth:`candidates` names the only slots a query
     must read.  Postings are memory-only — :meth:`to_dict` (the spill
     header) writes the name sets alone, so an index read back with
@@ -322,8 +512,8 @@ class SegmentIndex:
         subjects: AbstractSet[str],
         kinds: Set[str],
         tags: Set[str],
-        by_actor: Optional[Dict[str, List[int]]] = None,
-        by_subject: Optional[Dict[str, List[int]]] = None,
+        by_actor: Optional[Dict[str, array]] = None,
+        by_subject: Optional[Dict[str, array]] = None,
     ):
         self.time_min = time_min
         self.time_max = time_max
@@ -337,63 +527,9 @@ class SegmentIndex:
         self.by_subject = by_subject
 
     @classmethod
-    def over(cls, records: List[AuditRecord]) -> "SegmentIndex":
-        """Build the index over a sealed segment's records.
-
-        Runs at seal time for every record that ever goes cold: the
-        posting lists take one loop, and the contexts, kinds and
-        time/seq bounds share a second.  (Folding the postings into
-        that loop too measured slower than reusing the tail's posting
-        loop.)
-        """
-        by_actor: Dict[str, List[int]] = {}
-        by_subject: Dict[str, List[int]] = {}
-        _extend_postings(by_actor, by_subject, records, 0)
-        # Enforcement reuses a handful of context objects across a whole
-        # segment: dedupe by identity before walking tags (the walk
-        # itself is memoised per context in record_tags' helper).
-        contexts: Dict[int, object] = {}
-        kinds = set()
-        first = records[0]
-        time_min = time_max = first.timestamp
-        seq_min = seq_max = first.seq
-        for r in records:
-            ctx = r.source_context
-            if ctx is not None:
-                contexts[id(ctx)] = ctx
-            ctx = r.target_context
-            if ctx is not None:
-                contexts[id(ctx)] = ctx
-            kinds.add(r.kind)
-            # The same comparisons builtin min() and max() make, so a
-            # NaN or a tie resolves as it would there.
-            t = r.timestamp
-            if t < time_min:
-                time_min = t
-            if t > time_max:
-                time_max = t
-            s = r.seq
-            if s < seq_min:
-                seq_min = s
-            if s > seq_max:
-                seq_max = s
-        tags: Set[str] = set()
-        for ctx in contexts.values():
-            tags |= _context_tags(ctx)
-        return cls(
-            time_min=time_min,
-            time_max=time_max,
-            seq_min=seq_min,
-            seq_max=seq_max,
-            actors=by_actor.keys(),
-            # The empty subject is a posting like any other (a
-            # ``subject=""`` query must find it); the header leaves it out.
-            subjects=by_subject.keys(),
-            kinds={kind.value for kind in kinds},
-            tags=tags,
-            by_actor=by_actor,
-            by_subject=by_subject,
-        )
+    def over(cls, records: Iterable[AuditRecord]) -> "SegmentIndex":
+        """The index over a segment's records."""
+        return _Columns.over(records).index()[0]
 
     def candidates(
         self,
@@ -496,8 +632,8 @@ def write_spill(
     :meth:`SealedSegment.verify`, not just tampering with record slots.
     ``entries`` are ``(canonical, digest)`` pairs — the digest material
     and chain digests verbatim, never re-serialised; ``contexts`` are
-    the context-table entries they name (:func:`~repro.audit.records.
-    context_table`).
+    the context-table entries they name (a seal gathers them as its
+    records chain).
     """
     encoded = [c.encode() for c, __ in entries]
     stride = _align16(_LEN.size + _DIGEST_BYTES + max(map(len, encoded)))
@@ -546,8 +682,8 @@ def _check_magic(magic: bytes, path: Path) -> None:
 
 
 def _header(raw: bytes, path: Path) -> Dict:
-    """Parse a spill header: version 2 only, its context table checked
-    entry by entry and added to the process's table."""
+    """Parse a spill header: version 2 only.  Its context table is
+    admitted by whoever decodes slots (:func:`_admit`)."""
     try:
         header = json.loads(raw)
         version = header["version"]
@@ -560,8 +696,17 @@ def _header(raw: bytes, path: Path) -> Dict:
             f"{path}: spill segment version {version!r}, this reader "
             f"reads version {SPILL_VERSION} only"
         )
-    register_contexts(header.get("contexts"))
     return header
+
+
+def _admit(table: Dict, canonicals: Iterable[str]) -> None:
+    """Check a header's context table entry by entry and admit the
+    entries these slots name (the slots are read for their references
+    only when the table offers an entry the process does not hold)."""
+    held = table.__class__ is dict and all(
+        _CONTEXTS.get(ref) == text for ref, text in table.items()
+    )
+    register_contexts(table, set() if held else named_contexts(canonicals))
 
 
 def read_spill_header_bytes(path: Path) -> bytes:
@@ -583,27 +728,15 @@ def read_spill_header(path: Path) -> Dict:
 
 
 def read_spill(path: Path) -> Tuple[Dict, List[Tuple[str, str]]]:
-    """Read a spill file back as (header, [(canonical, digest), ...]).
-
-    Record slots are accessed through ``mmap`` at fixed stride — this is
-    the same random-access path a partial reader would use.
-    """
-    with open(path, "rb") as fh:
-        try:
-            mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        except ValueError as exc:  # an empty file cannot be mapped
-            raise IntegrityViolation(
-                f"{path}: not a spill segment file ({exc})"
-            ) from exc
-        try:
-            return _parse_spill(mm, path)
-        finally:
-            mm.close()
+    """Read a spill file back as (header, [(canonical, digest), ...])."""
+    __, header, entries = read_spill_full(path)
+    return header, entries
 
 
 def read_spill_full(path: Path) -> Tuple[bytes, Dict, List[Tuple[str, str]]]:
-    """One-open read of a whole spill file for verification:
-    ``(raw header bytes, parsed header, entries)``.
+    """One-open read of a whole spill file:
+    ``(raw header bytes, parsed header, entries)``, the table entries
+    the slots name admitted.
 
     Deep verification needs the raw header bytes (for the committed
     header digest) *and* every record slot; the file is read once with
@@ -611,33 +744,14 @@ def read_spill_full(path: Path) -> Tuple[bytes, Dict, List[Tuple[str, str]]]:
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    header, entries = _parse_spill(blob, path)
-    return _raw_header_of(blob, path), header, entries
-
-
-def _raw_header_of(blob, path: Path) -> bytes:
-    """The raw header bytes out of an in-memory spill image."""
-    try:
-        (header_len,) = _LEN.unpack(
-            blob[len(SPILL_MAGIC):len(SPILL_MAGIC) + _LEN.size]
-        )
-    except struct.error as exc:
-        raise IntegrityViolation(
-            f"{path}: truncated spill segment header"
-        ) from exc
-    start = len(SPILL_MAGIC) + _LEN.size
-    return bytes(blob[start:start + header_len])
-
-
-def _parse_spill(blob, path: Path) -> Tuple[Dict, List[Tuple[str, str]]]:
-    """Decode a spill image (bytes or mmap) into (header, entries)."""
     _check_magic(blob[: len(SPILL_MAGIC)], path)
     try:
         (header_len,) = _LEN.unpack(
             blob[len(SPILL_MAGIC):len(SPILL_MAGIC) + _LEN.size]
         )
         header_end = len(SPILL_MAGIC) + _LEN.size + header_len
-        header = _header(blob[len(SPILL_MAGIC) + _LEN.size:header_end], path)
+        raw_header = blob[len(SPILL_MAGIC) + _LEN.size:header_end]
+        header = _header(raw_header, path)
         stride = header["stride"]
         data_start = _align16(header_end)
         entries: List[Tuple[str, str]] = []
@@ -649,7 +763,6 @@ def _parse_spill(blob, path: Path) -> Tuple[Dict, List[Tuple[str, str]]]:
             ].decode()
             body = slot + _LEN.size + _DIGEST_BYTES
             entries.append((blob[body:body + length].decode(), digest))
-        return header, entries
     except (UnicodeDecodeError, ValueError, KeyError, TypeError,
             struct.error) as exc:
         # A doctored file can corrupt lengths, the header JSON or
@@ -658,12 +771,15 @@ def _parse_spill(blob, path: Path) -> Tuple[Dict, List[Tuple[str, str]]]:
         raise IntegrityViolation(
             f"{path}: corrupt spill segment ({exc})"
         ) from exc
+    _admit(header.get("contexts"), (c for c, __ in entries))
+    return raw_header, header, entries
 
 
 def load_spill(path: Path) -> List[AuditRecord]:
     """Decode and verify one spill file on its own, with no process
     state: the chain is replayed from the header's base digest to its
-    head, and contexts resolve through the header's table.  Raises
+    head, the header's context table must be the one its records name,
+    and contexts resolve through it.  Raises
     :class:`IntegrityViolation` on any mismatch.
 
     Without the digests a live store committed to, this proves the
@@ -681,25 +797,32 @@ def load_spill(path: Path) -> List[AuditRecord]:
         ) from exc
     if bad is not None or (entries[-1][1] if entries else base) != head:
         raise IntegrityViolation(f"{path}: spill segment chain broken")
+    if set(header["contexts"]) != named_contexts(c for c, __ in entries):
+        raise IntegrityViolation(
+            f"{path}: the header's context table is not the table its "
+            f"records name"
+        )
     return [AuditRecord.from_canonical(c) for c, __ in entries]
 
 
 class SealedSegment:
     """An immutable, index-carrying chunk of one source's chain.
 
-    Sealed segments are the unit of tiering: *hot* ones still hold
-    their record objects; *cold* ones hold only chain anchors (base and
-    head digest, absolute positions) plus the :class:`SegmentIndex`,
-    with the records in a spill file.  The anchors held in memory are
-    what the live process committed to — a cold file that disagrees
-    with them fails :meth:`verify` exactly like an in-memory mutation.
+    Sealed segments are the unit of tiering.  A *hot* one holds the
+    canonical strings and digests its tail hashed, moved over at seal
+    unchanged, plus a decode memo like the tail's.  A *cold* one holds
+    only chain anchors (base and head digest, absolute positions) plus
+    the :class:`SegmentIndex`, with the same strings in a spill file.
+    Every read takes strings from the list or from the ``mmap``.  The
+    anchors held in memory are what the live process committed to — a
+    cold file that disagrees with them fails :meth:`verify` exactly like
+    an in-memory mutation.
     """
 
     __slots__ = (
         "source", "base_digest", "base_count", "count", "head",
-        "index", "_records", "_digests", "_canonicals", "path",
+        "index", "_canonicals", "_digests", "_memo", "_contexts", "path",
         "header_digest", "_verified_key", "_digest_col", "_layout",
-        "_probes",
     )
 
     def __init__(
@@ -707,22 +830,24 @@ class SealedSegment:
         source: str,
         base_digest: str,
         base_count: int,
-        records: List[AuditRecord],
+        canonicals: List[str],
         digests: List[str],
-        canonicals: Optional[List[str]] = None,
+        index: SegmentIndex,
+        contexts: Dict[str, str],
+        memo: Dict[int, AuditRecord],
     ):
         self.source = source
         self.base_digest = base_digest
         self.base_count = base_count
-        self.count = len(records)
+        self.count = len(digests)
         self.head = digests[-1]
-        self.index = SegmentIndex.over(records)
-        self._records: Optional[List[AuditRecord]] = records
-        self._digests: Optional[List[str]] = digests
-        #: Serialisations carried over from the tail (when the store
-        #: retains them) so demote writes the hashed bytes verbatim
-        #: without re-serialising every record.
+        self.index = index
         self._canonicals: Optional[List[str]] = canonicals
+        self._digests: Optional[List[str]] = digests
+        self._memo = memo
+        #: The context-table entries the records name: the spill
+        #: header's table at demote.
+        self._contexts: Optional[Dict[str, str]] = contexts
         self.path: Optional[Path] = None
         #: sha256 of the spill file's header bytes, held in memory so
         #: tampering with the on-disk header/index is detectable.
@@ -732,13 +857,10 @@ class SealedSegment:
         #: file's stat fingerprint.  ``None`` means "never verified (or
         #: invalidated) — re-verify in every mode".
         self._verified_key: Optional[Tuple] = None
-        #: Memoised digest column for repeated cold probes (the second
-        #: ``digest_at`` on a cold segment loads it once; single probes
-        #: seek straight to their fixed-stride slot).
+        #: The cold file's digest column, loaded by the first probe.
         self._digest_col: Optional[List[str]] = None
-        #: Cached (data_start, stride) of the spill file's slot region.
-        self._layout: Optional[Tuple[int, int]] = None
-        self._probes = 0
+        #: Cached (data_start, stride, context table) of the spill file.
+        self._layout: Optional[Tuple[int, int, Dict]] = None
 
     def __repr__(self) -> str:
         tier = "cold" if self.is_cold else "hot"
@@ -749,7 +871,7 @@ class SealedSegment:
 
     @property
     def is_cold(self) -> bool:
-        return self._records is None
+        return self._canonicals is None
 
     @property
     def total(self) -> int:
@@ -758,79 +880,78 @@ class SealedSegment:
     # -- content -----------------------------------------------------------
 
     def entries(self) -> List[Tuple[str, str]]:
-        """(canonical, digest) pairs; loaded from the spill file when
-        cold, computed from the live records when hot."""
-        if self._records is not None:
-            if self._canonicals is not None:
-                return list(zip(self._canonicals, self._digests))
-            return [
-                (r.canonical(), d)
-                for r, d in zip(self._records, self._digests)
-            ]
-        __, entries = read_spill(self.path)
-        if self._digest_col is None:
-            # A full load already paid for the digest column — memoise
-            # it so later probes are list lookups, not file reads.
-            self._digest_col = [d for __, d in entries]
-        return entries
+        """(canonical, digest) pairs, verbatim: from the lists when hot,
+        from the spill file when cold."""
+        if self._canonicals is not None:
+            return list(zip(self._canonicals, self._digests))
+        return read_spill(self.path)[1]
 
     def records(self) -> List[AuditRecord]:
-        """The segment's records — originals when hot, reconstructed
-        from the spill file's verbatim canonicals when cold."""
-        if self._records is not None:
-            return list(self._records)
-        return [
-            AuditRecord.from_canonical(canonical)
-            for canonical, __ in self.entries()
-        ]
+        """The segment's records, decoded from their stored strings."""
+        return self.records_at(range(self.count))
 
-    def records_at(self, offsets: List[int]) -> List[AuditRecord]:
+    def records_at(self, offsets: Iterable[int]) -> List[AuditRecord]:
         """The records at ``offsets`` (segment-relative, e.g. from
         :meth:`SegmentIndex.candidates`).
 
-        Hot: list lookups.  Cold: only the named fixed-stride slots are
-        read, through ``mmap`` — no whole-file decode.  A slot with a
-        bad length or bad bytes raises :class:`IntegrityViolation`, as a
-        whole-file read does.
+        Hot: decoded through the memo.  Cold: only the named
+        fixed-stride slots are read, through ``mmap`` — no whole-file
+        decode — and decoded afresh.  A slot with a bad length or bad
+        bytes raises :class:`IntegrityViolation`, as a whole-file read
+        does.
         """
-        if self._records is not None:
-            records = self._records
-            return [records[i] for i in offsets]
+        if self._canonicals is not None:
+            return _decoded(self._canonicals, self._memo, offsets)
+        strings = [c for c, __ in self._slots(offsets)]
+        _admit(self._spill_layout()[2], strings)
+        return [AuditRecord.from_canonical(c) for c in strings]
+
+    def _slots(self, offsets: Iterable[int]) -> List[Tuple[str, str]]:
+        """(canonical, digest) of the named slots of the cold file, read
+        through ``mmap``."""
         try:
-            data_start, stride = self._spill_layout()
+            data_start, stride, __ = self._spill_layout()
             room = stride - _LEN.size - _DIGEST_BYTES
-            with open(self.path, "rb") as fh:
-                mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-                try:
-                    result = []
-                    for i in offsets:
-                        slot = data_start + i * stride
-                        (length,) = _LEN.unpack(mm[slot:slot + _LEN.size])
-                        if length > room:
-                            raise IntegrityViolation(
-                                f"{self.path}: corrupt spill segment (slot "
-                                f"{i} length {length} exceeds the stride)"
-                            )
-                        body = slot + _LEN.size + _DIGEST_BYTES
-                        result.append(AuditRecord.from_canonical(
-                            mm[body:body + length].decode()
-                        ))
-                    return result
-                finally:
-                    mm.close()
+            with open(self.path, "rb") as fh, mmap.mmap(
+                fh.fileno(), 0, access=mmap.ACCESS_READ
+            ) as mm:
+                slots = []
+                for i in offsets:
+                    at = data_start + i * stride
+                    (length,) = _LEN.unpack(mm[at:at + _LEN.size])
+                    if length > room:
+                        raise IntegrityViolation(
+                            f"{self.path}: corrupt spill segment (slot "
+                            f"{i} length {length} exceeds the stride)"
+                        )
+                    at += _LEN.size
+                    body = at + _DIGEST_BYTES
+                    slots.append((
+                        mm[body:body + length].decode(),
+                        mm[at:body].decode(),
+                    ))
+                return slots
         except (OSError, UnicodeDecodeError, ValueError, KeyError,
                 TypeError, AttributeError, struct.error) as exc:
             raise IntegrityViolation(
                 f"{self.path}: corrupt spill segment ({exc})"
             ) from exc
 
+    def age_prefix(self, timestamp: float) -> int:
+        """Length of the leading run of records older than ``timestamp``,
+        decoding only that run and the record that ends it."""
+        k = 0
+        for canonical, __ in self.entries():
+            if not AuditRecord.from_canonical(canonical).timestamp < timestamp:
+                break
+            k += 1
+        return k
+
     def digest_at(self, position: int) -> Optional[str]:
         """Chain digest at absolute ``position``.
 
-        Hot: a list lookup.  Cold: the first probe seeks straight to the
-        16-aligned fixed-stride slot and reads only its 64-byte digest;
-        repeated probes load the digest column once and answer from
-        memory — never a whole-file decode either way.
+        Hot: a list lookup.  Cold: the first probe reads the digest
+        column through ``mmap`` and later probes answer from memory.
         """
         if position < self.base_count or position > self.total:
             return None
@@ -839,72 +960,34 @@ class SealedSegment:
         offset = position - self.base_count - 1
         if self._digests is not None:
             return self._digests[offset]
-        if self._digest_col is not None:
-            return self._digest_col[offset]
-        self._probes += 1
-        if self._probes > 1:
-            return self._load_digest_column()[offset]
-        return self._slot_digest(offset)
+        if self._digest_col is None:
+            self._digest_col = [d for __, d in self._slots(range(self.count))]
+        return self._digest_col[offset]
 
-    def _spill_layout(self) -> Tuple[int, int]:
-        """(data_start, stride) of the cold file's slot region, cached.
+    def _spill_layout(self) -> Tuple[int, int, Dict]:
+        """(data_start, stride, context table) of the cold file, cached.
 
-        Reading the header also checks its context table into the
-        process's table, which is what lets :meth:`records_at` decode
-        a file this process did not write.  Probes trust the on-disk
-        stride the way hot probes trust the in-memory digest list —
-        :meth:`verify` is what holds the file to the committed header
-        digest; a doctored layout yields digests that fail their
-        downstream comparison.
+        Probes trust the on-disk stride the way hot probes trust the
+        in-memory digest list — :meth:`verify` is what holds the file
+        to the committed header digest; a doctored layout yields
+        digests that fail their downstream comparison.  The table is
+        what :meth:`records_at` admits entries from.
         """
         if self._layout is None:
             raw = read_spill_header_bytes(self.path)
+            header = _header(raw, self.path)
             try:
-                stride = _header(raw, self.path)["stride"]
-            except (KeyError, TypeError) as exc:
+                layout = (
+                    _align16(len(SPILL_MAGIC) + _LEN.size + len(raw)),
+                    header["stride"],
+                    header.get("contexts"),
+                )
+            except (KeyError, TypeError, AttributeError) as exc:
                 raise IntegrityViolation(
                     f"{self.path}: corrupt spill segment ({exc})"
                 ) from exc
-            data_start = _align16(len(SPILL_MAGIC) + _LEN.size + len(raw))
-            self._layout = (data_start, stride)
+            self._layout = layout
         return self._layout
-
-    def _slot_digest(self, offset: int) -> str:
-        """Read one slot's chain digest via a direct seek."""
-        data_start, stride = self._spill_layout()
-        with open(self.path, "rb") as fh:
-            fh.seek(data_start + offset * stride + _LEN.size)
-            raw = fh.read(_DIGEST_BYTES)
-        try:
-            return raw.decode()
-        except UnicodeDecodeError as exc:
-            raise IntegrityViolation(
-                f"{self.path}: corrupt spill segment ({exc})"
-            ) from exc
-
-    def _load_digest_column(self) -> List[str]:
-        """Memoise every slot's digest (no canonical decode) via mmap."""
-        data_start, stride = self._spill_layout()
-        try:
-            with open(self.path, "rb") as fh:
-                mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-                try:
-                    col = [
-                        mm[
-                            data_start + i * stride + _LEN.size:
-                            data_start + i * stride + _LEN.size
-                            + _DIGEST_BYTES
-                        ].decode()
-                        for i in range(self.count)
-                    ]
-                finally:
-                    mm.close()
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise IntegrityViolation(
-                f"{self.path}: corrupt spill segment ({exc})"
-            ) from exc
-        self._digest_col = col
-        return col
 
     # -- the verified watermark --------------------------------------------
 
@@ -917,7 +1000,7 @@ class SealedSegment:
         was modified too close to *now* for coarse filesystem timestamps
         to distinguish a later rewrite (see ``_STAT_MARGIN_NS``).
         """
-        if self._records is not None or self.path is None:
+        if self._canonicals is not None or self.path is None:
             return None
         try:
             st = os.stat(self.path)
@@ -958,26 +1041,25 @@ class SealedSegment:
     # -- tier transitions --------------------------------------------------
 
     def demote(self, spill_dir: Path) -> int:
-        """Spill to disk and drop the in-memory records; returns the file
-        size.  Idempotent for an already-cold segment."""
+        """Spill the strings and digests to disk and drop them; returns
+        the file size.  Idempotent for an already-cold segment."""
         if self.is_cold:
             return 0
         safe = _UNSAFE.sub("_", self.source)
         path = spill_dir / f"{safe}-{self.base_count:012d}.seg"
         size, self.header_digest = write_spill(
             path, self.source, self.base_digest, self.base_count,
-            self.head, self.entries(), self.index,
-            context_table(self._records),
+            self.head, self.entries(), self.index, self._contexts,
         )
         self.path = path
-        self._records = None
-        self._digests = None
         self._canonicals = None
+        self._digests = None
+        self._memo = {}
+        self._contexts = None
         # Fresh on-disk identity: no probe caches, no watermark — the
         # file has never been deep-checked in its cold form.
         self._digest_col = None
         self._layout = None
-        self._probes = 0
         self._verified_key = None
         return size
 
@@ -986,25 +1068,33 @@ class SealedSegment:
     def verify(self) -> int:
         """Recompute the chunk's chain, raising on the first mismatch.
 
-        Hot: from the live records (post-drain mutation is detected, as
-        for an open tail).  Cold: from the spill file's canonicals,
-        anchored to the base/head digests held in memory — a rewritten
-        file cannot satisfy both ends of the chain.  The cold path reads
-        the file exactly once (``read_spill_full``).  Returns the number
-        of digest-material bytes re-hashed.
+        The strings are replayed from the base digest held in memory to
+        the head held in memory, so a rewritten file cannot satisfy both
+        ends; hot, every record a read handed out is held to its string.
+        Cold, the file is read once, and its header (context table
+        included) must match the digest committed at demote.  Returns
+        the number of digest-material bytes re-hashed.
         """
-        if self._records is not None:
-            hashed, bad = replay_chain(
-                self.base_digest,
-                map(AuditRecord.canonical, self._records),
-                self._digests,
+        if self._canonicals is not None:
+            canonicals, digests = self._canonicals, self._digests
+            what, lead = "sealed segment", 0
+        else:
+            what, lead, entries = "cold segment", *self._read_committed()
+            canonicals = [c for c, __ in entries]
+            digests = [d for __, d in entries]
+        hashed = _verify_strings(
+            f"{what} {self.source!r}", self.base_digest, self.base_count,
+            canonicals, digests, self._memo,
+        )
+        if (digests[-1] if digests else self.base_digest) != self.head:
+            raise IntegrityViolation(
+                f"{what} {self.source!r} head mismatch after replay"
             )
-            if bad is not None:
-                raise IntegrityViolation(
-                    f"sealed segment {self.source!r} chain broken "
-                    f"at seq {self._records[bad].seq}"
-                )
-            return hashed
+        return lead + hashed
+
+    def _read_committed(self) -> Tuple[int, List[Tuple[str, str]]]:
+        """The cold file's header length and entries, read whole and
+        held to the committed header digest and anchors."""
         try:
             raw_header, header, entries = read_spill_full(self.path)
         except OSError as exc:
@@ -1028,58 +1118,43 @@ class SealedSegment:
                 f"spill file {self.path} header does not match the "
                 f"anchors committed for segment {self.source!r}"
             )
-        hashed, bad = replay_chain(
-            self.base_digest, (c for c, __ in entries), (d for __, d in entries)
-        )
-        if bad is not None:
-            raise IntegrityViolation(
-                f"cold segment {self.source!r} chain broken at "
-                f"record {self.base_count + bad}"
-            )
-        if (entries[-1][1] if entries else self.base_digest) != self.head:
-            raise IntegrityViolation(
-                f"cold segment {self.source!r} head mismatch after replay"
-            )
-        return len(raw_header) + hashed
+        return len(raw_header), entries
 
     # -- maintenance -------------------------------------------------------
 
     def prune_prefix(self, keep_from: int) -> int:
         """Drop the first ``keep_from`` records, rebasing the chain.
 
-        A cold segment is rewritten in place (retained canonicals and
-        digests verbatim); the index is rebuilt over the remainder.
+        The retained strings and digests are kept verbatim, and the
+        index is rebuilt over the remainder; a cold segment's file is
+        rewritten in place.
         """
         if keep_from <= 0:
             return 0
         if keep_from >= self.count:
             raise ValueError("use drop() to discard a whole segment")
+        entries = self.entries()
         # Any rebase invalidates the verified watermark and the cold
         # probe caches: anchors move, and a cold file is rewritten.
         self._verified_key = None
         self._digest_col = None
         self._layout = None
-        self._probes = 0
-        if self._records is not None:
-            self.base_digest = self._digests[keep_from - 1]
-            self.base_count += keep_from
-            self._records = self._records[keep_from:]
-            self._digests = self._digests[keep_from:]
-            if self._canonicals is not None:
-                self._canonicals = self._canonicals[keep_from:]
-            self.count = len(self._records)
-            self.index = SegmentIndex.over(self._records)
-            return keep_from
-        __, entries = read_spill(self.path)
         retained = entries[keep_from:]
         self.base_digest = entries[keep_from - 1][1]
         self.base_count += keep_from
         self.count = len(retained)
-        records = [AuditRecord.from_canonical(c) for c, __ in retained]
-        self.index = SegmentIndex.over(records)
+        self.index, contexts = _Columns.over(
+            AuditRecord.from_canonical(c) for c, __ in retained
+        ).index()
+        if self._canonicals is not None:
+            self._canonicals = [c for c, __ in retained]
+            self._digests = [d for __, d in retained]
+            __, self._memo = _split_memo(self._memo, keep_from)
+            self._contexts = contexts
+            return keep_from
         __, self.header_digest = write_spill(
             self.path, self.source, self.base_digest, self.base_count,
-            self.head, retained, self.index, context_table(records),
+            self.head, retained, self.index, contexts,
         )
         return keep_from
 
@@ -1149,12 +1224,6 @@ class SegmentStore:
         self.spill_dir.mkdir(parents=True, exist_ok=True)
         self.hot_segments = max(0, hot_segments)
         self.seal_every = seal_every
-        # Tiered tails retain canonicals so seal/demote never
-        # re-serialise; records chained before this point keep lazy
-        # serialisation (entries() recomputes for the straddling chunk).
-        for tail in self.tails.values():
-            if tail.canonicals is None:
-                tail.canonicals = [r.canonical() for r in tail.records]
         for source in self.sealed:
             self._demote_excess(source)
 
@@ -1167,8 +1236,6 @@ class SegmentStore:
             seg = self.tails[source] = AuditSegment(
                 source, self._genesis(source)
             )
-            if self.seal_every is not None:
-                seg.canonicals = []
             self.sealed.setdefault(source, [])
         return seg
 
@@ -1191,9 +1258,9 @@ class SegmentStore:
         if self.seal_every is None:
             return
         tail = self.tails[source]
-        if len(tail.records) < self.seal_every:
+        if tail.count < self.seal_every:
             return
-        while len(tail.records) >= self.seal_every:
+        while tail.count >= self.seal_every:
             self.seal_prefix(source, self.seal_every)
         self._demote_excess(source)
 
@@ -1206,18 +1273,10 @@ class SegmentStore:
         tail = self.tails.get(source)
         if tail is None:
             return None
-        k = min(k, len(tail.records))
+        k = min(k, tail.count)
         if k <= 0:
             return None
-        chunk = SealedSegment(
-            source,
-            tail.base_digest,
-            tail.base_count,
-            tail.records[:k],
-            tail.digests[:k],
-            tail.canonicals[:k] if tail.canonicals is not None else None,
-        )
-        tail.prune_prefix(k)  # rebase: base becomes the sealed head
+        chunk = tail.seal(k)
         self.sealed.setdefault(source, []).append(chunk)
         self.stats_seals += 1
         return chunk
@@ -1245,15 +1304,7 @@ class SegmentStore:
             return 0
         demoted = 0
         for source in list(self.tails):
-            tail = self.tails[source]
-            k = 0
-            while (
-                k < len(tail.records)
-                and tail.records[k].timestamp < timestamp
-            ):
-                k += 1
-            if k:
-                self.seal_prefix(source, k)
+            self.seal_prefix(source, self.tails[source].age_prefix(timestamp))
             for chunk in self.sealed.get(source, []):
                 if not chunk.is_cold and chunk.index.time_max < timestamp:
                     self.spill_bytes += chunk.demote(self.spill_dir)
@@ -1284,9 +1335,7 @@ class SegmentStore:
 
     def retained(self, source: str) -> int:
         """Retained (un-pruned) record count for one source."""
-        return len(self.tails[source].records) + sum(
-            c.count for c in self.sealed.get(source, ())
-        )
+        return sum(c.count for c in self._chunks(source))
 
     def total_retained(self) -> int:
         return sum(self.retained(source) for source in list(self.tails))
@@ -1295,45 +1344,30 @@ class SegmentStore:
         """Every retained record of one source, oldest first (cold
         segments are loaded — and counted — on demand)."""
         result: List[AuditRecord] = []
-        for chunk in self.sealed.get(source, ()):
+        for chunk in self._chunks(source):
             if chunk.is_cold:
                 self.stats_cold_loads += 1
             result.extend(chunk.records())
-        result.extend(self.tails[source].records)
         return result
 
     def export_entries(self) -> List[Dict]:
         """Serialised records with digests and segment attribution —
         byte-identical whether a segment is hot or spilled, because
         cold entries come back verbatim from the spill file."""
-        entries: List[Dict] = []
+        rows: List[Tuple[int, str, str, str]] = []
         for source in self.sources():
-            for chunk in self.sealed.get(source, ()):
+            for chunk in self._chunks(source):
                 if chunk.is_cold:
                     self.stats_cold_loads += 1
-                for canonical, digest in chunk.entries():
-                    entries.append(
-                        {
-                            "record": canonical,
-                            "digest": digest,
-                            "segment": source,
-                            "seq": json.loads(canonical)["seq"],
-                        }
-                    )
-            tail = self.tails[source]
-            for record, digest in zip(tail.records, tail.digests):
-                entries.append(
-                    {
-                        "record": record.canonical(),
-                        "digest": digest,
-                        "segment": source,
-                        "seq": record.seq,
-                    }
+                rows.extend(
+                    (json.loads(canonical)["seq"], canonical, digest, source)
+                    for canonical, digest in chunk.entries()
                 )
-        entries.sort(key=lambda e: e["seq"])
-        for entry in entries:
-            del entry["seq"]
-        return ship_contexts(entries)
+        rows.sort(key=itemgetter(0))
+        return ship_contexts([
+            {"record": canonical, "digest": digest, "segment": source}
+            for __, canonical, digest, source in rows
+        ])
 
     # -- integrity ---------------------------------------------------------
 
@@ -1350,12 +1384,10 @@ class SegmentStore:
         a splice would hide, so the joins are checked explicitly — in
         *every* mode, for every chunk, from the in-memory anchors.
 
-        ``deep=True`` (the default, and the historical behaviour)
-        recomputes every chunk unconditionally and re-watermarks the
-        cold ones.  ``deep=False`` is the incremental mode: hot chunks
-        (open tails and in-memory sealed segments — mutable objects)
-        are always recomputed, but a cold chunk whose verified
-        watermark is still valid (anchors and spill-file stat
+        ``deep=True`` (the default) recomputes every chunk and
+        re-watermarks the cold ones.  ``deep=False`` is the incremental
+        mode: hot chunks are always recomputed, but a cold chunk whose
+        verified watermark is still valid (anchors and spill-file stat
         fingerprint unchanged since its last successful full check) is
         skipped.  Raises on the first violation, in chunk order.
         """
@@ -1376,12 +1408,7 @@ class SegmentStore:
                         f"position {chunk.base_count}"
                     )
                 prev = chunk
-                if (
-                    not deep
-                    and isinstance(chunk, SealedSegment)
-                    and chunk.is_cold
-                    and chunk.watermarked
-                ):
+                if not deep and chunk.is_cold and chunk.watermarked:
                     if chunk.watermark_valid():
                         skipped += 1
                         continue
@@ -1392,7 +1419,7 @@ class SegmentStore:
         hashed = [chunk.verify() for chunk in todo]
 
         for chunk in todo:
-            if isinstance(chunk, SealedSegment) and chunk.is_cold:
+            if chunk.is_cold:
                 chunk.note_verified()
         if stats is not None:
             stats.segments_total += total_chunks
@@ -1401,14 +1428,8 @@ class SegmentStore:
             stats.watermark_hits += skipped
             stats.watermark_invalidations += invalidated
             stats.bytes_hashed += sum(hashed)
-            stats.cold_verified += sum(
-                1 for c in todo
-                if isinstance(c, SealedSegment) and c.is_cold
-            )
-            stats.records_verified += sum(
-                c.count if isinstance(c, SealedSegment) else len(c.records)
-                for c in todo
-            )
+            stats.cold_verified += sum(1 for c in todo if c.is_cold)
+            stats.records_verified += sum(c.count for c in todo)
 
     # -- pruning -----------------------------------------------------------
 
@@ -1419,26 +1440,9 @@ class SegmentStore:
         spill files deleted); the first straddling chunk is prefix-
         pruned and rebased.  Returns the number of records pruned.
         """
-        pruned = 0
-        for source in list(self.tails):
-            chunks = self.sealed.get(source, [])
-            while chunks and chunks[0].index.time_max < timestamp:
-                pruned += chunks.pop(0).drop()
-            if chunks:
-                first = chunks[0]
-                if first.index.time_min < timestamp:
-                    self.stats_watermark_invalidations += (
-                        first.clear_watermark()
-                    )
-                    pruned += first.prune_prefix(
-                        _age_prefix(first.records(), timestamp)
-                    )
-                continue  # later chunks/tail hold only newer records
-            tail = self.tails[source]
-            pruned += tail.prune_prefix(
-                _age_prefix(tail.records, timestamp)
-            )
-        return pruned
+        return sum(
+            self.prune_source(source, timestamp) for source in list(self.tails)
+        )
 
     def prune_source(self, source: str, before: Optional[float]) -> int:
         """Prune one source (wholly, or records before ``before``)."""
@@ -1448,13 +1452,11 @@ class SegmentStore:
             # Whole-source prune: drop every sealed chunk (the tail's
             # base is already the last sealed head, so the chain stays
             # anchored) and empty the tail with the usual rebase.
-            pruned = 0
             chunks = self.sealed.get(source, [])
-            while chunks:
-                pruned += chunks.pop(0).drop()
+            pruned = sum(chunk.drop() for chunk in chunks)
+            chunks.clear()
             tail = self.tails[source]
-            pruned += tail.prune_prefix(len(tail.records))
-            return pruned
+            return pruned + tail.prune_prefix(tail.count)
         pruned = 0
         chunks = self.sealed.get(source, [])
         while chunks and chunks[0].index.time_max < before:
@@ -1465,12 +1467,10 @@ class SegmentStore:
                 self.stats_watermark_invalidations += (
                     first.clear_watermark()
                 )
-                pruned += first.prune_prefix(
-                    _age_prefix(first.records(), before)
-                )
-            return pruned
+                pruned += first.prune_prefix(first.age_prefix(before))
+            return pruned  # later chunks and the tail are all newer
         tail = self.tails[source]
-        pruned += tail.prune_prefix(_age_prefix(tail.records, before))
+        pruned += tail.prune_prefix(tail.age_prefix(before))
         return pruned
 
     # -- observability -----------------------------------------------------
@@ -1486,38 +1486,17 @@ class SegmentStore:
 
     def tier_stats(self) -> Dict:
         """The tier rollup ``Deployment.stats()`` reports."""
-        hot_records = 0
-        cold_records = 0
-        hot_time_min: Optional[float] = None
-        hot_time_max: Optional[float] = None
-
-        def note_hot(ts_min: Optional[float], ts_max: Optional[float]):
-            nonlocal hot_time_min, hot_time_max
-            if ts_min is None:
-                return
-            hot_time_min = (
-                ts_min if hot_time_min is None else min(hot_time_min, ts_min)
-            )
-            hot_time_max = (
-                ts_max if hot_time_max is None else max(hot_time_max, ts_max)
-            )
-
-        for source, chunks in self.sealed.items():
-            for chunk in chunks:
-                if chunk.is_cold:
-                    cold_records += chunk.count
-                else:
-                    hot_records += chunk.count
-                    note_hot(chunk.index.time_min, chunk.index.time_max)
-        for tail in self.tails.values():
-            hot_records += len(tail.records)
-            if tail.records:
-                note_hot(
-                    tail.records[0].timestamp, tail.records[-1].timestamp
-                )
+        sealed = [c for chunks in self.sealed.values() for c in chunks]
+        hot = [c for c in sealed if not c.is_cold]
+        # The hot window: each hot chunk's (oldest, newest) timestamps.
+        spans = [(c.index.time_min, c.index.time_max) for c in hot] + [
+            (t.columns.times[0], t.columns.times[-1])
+            for t in self.tails.values() if t.count
+        ]
         return {
-            "hot_records": hot_records,
-            "cold_records": cold_records,
+            "hot_records": sum(c.count for c in hot)
+            + sum(t.count for t in self.tails.values()),
+            "cold_records": sum(c.count for c in sealed if c.is_cold),
             "sealed_segments": self.sealed_segments(),
             "cold_segments": self.cold_segments(),
             "spill_bytes": self.spill_bytes,
@@ -1529,8 +1508,8 @@ class SegmentStore:
                 for c in chunks if c.watermarked
             ),
             "watermark_invalidations": self.stats_watermark_invalidations,
-            "hot_time_min": hot_time_min,
-            "hot_time_max": hot_time_max,
+            "hot_time_min": min((lo for lo, __ in spans), default=None),
+            "hot_time_max": max((hi for __, hi in spans), default=None),
             "spill_dir": str(self.spill_dir) if self.spill_dir else None,
         }
 
@@ -1539,10 +1518,3 @@ def chunk_total(chunk) -> int:
     """Absolute head position of a sealed chunk or open tail."""
     return chunk.total
 
-
-def _age_prefix(records: List[AuditRecord], timestamp: float) -> int:
-    """Length of the leading run of records older than ``timestamp``."""
-    k = 0
-    while k < len(records) and records[k].timestamp < timestamp:
-        k += 1
-    return k

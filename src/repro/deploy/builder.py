@@ -39,6 +39,7 @@ from typing import Dict, List, Optional
 
 from repro.accesscontrol.pep import EnforcementMode
 from repro.audit.distributed import AuditCollector
+from repro.audit.records import context_stats
 from repro.audit.spine import _deep_of, bind_source
 from repro.cloud.machine import (
     APPROVED_BOOT_CHAIN,
@@ -806,7 +807,9 @@ class Deployment:
         audit = {"records": 0, "pending": 0, "drains": 0,
                  "checkpoints": 0, "segments": 0, "ring_overflows": 0,
                  "hot_records": 0, "cold_records": 0,
-                 "cold_segments": 0, "spill_bytes": 0}
+                 "cold_segments": 0, "spill_bytes": 0,
+                 # Process-wide: outside context-table entries refused.
+                 "contexts_refused": context_stats()["refused"]}
         for machine in machines:
             spine = machine.audit
             audit["records"] += len(spine)

@@ -168,14 +168,14 @@ def _spine(tmp_path):
 
 def _tail_record(tmp_path):
     spine = _spine(tmp_path)
-    return spine, spine.segment("bus").records[-1]
+    return spine, spine.segment("bus").records()[-1]
 
 
 def _sealed_record(tmp_path):
     spine = _spine(tmp_path)
     chunk = spine._store.sealed["bus"][0]
     assert not chunk.is_cold
-    return spine, chunk._records[3]
+    return spine, chunk.records_at([3])[0]
 
 
 @pytest.mark.parametrize("mode", ["incremental", "deep"])

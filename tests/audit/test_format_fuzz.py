@@ -14,8 +14,14 @@ import tempfile
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.audit import AuditRecord, AuditSpine, RecordKind, load_spill
-from repro.audit.records import register_contexts
+from repro.audit import (
+    AuditRecord,
+    AuditSpine,
+    RecordKind,
+    decode_export,
+    load_spill,
+)
+from repro.audit.records import _CONTEXTS
 from repro.errors import IntegrityViolation
 from repro.ifc import SecurityContext
 from repro.sim import Simulator
@@ -175,16 +181,22 @@ def test_any_text_is_a_record_or_refused(text):
 )
 def test_a_hash_valid_entry_that_is_no_context_is_refused(record, text):
     # Anyone can make an entry that hashes to its key; what it names
-    # must still be a security context, or the decode refuses.
+    # must still be a security context, or the decode refuses and the
+    # process's context table does not grow.
     ref = hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
-    try:
-        register_contexts({ref: text})
-    except IntegrityViolation:
-        return  # a lone surrogate cannot be hashed as UTF-8
     body = json.loads(record.canonical())
     body["target_context"] = ref
+    entry = {
+        "record": json.dumps(body, sort_keys=True, separators=(",", ":")),
+        "digest": "0" * 64,
+        "contexts": {ref: text},
+    }
+    held = dict(_CONTEXTS)
     try:
-        got = AuditRecord.from_canonical(json.dumps(body))
+        (got,) = decode_export([entry])
     except IntegrityViolation:
+        # Refused, a lone surrogate (which cannot be hashed as UTF-8)
+        # included: the table is as it was.
+        assert _CONTEXTS == held
         return
     assert isinstance(got.target_context, SecurityContext)

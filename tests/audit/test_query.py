@@ -141,7 +141,7 @@ class TestRecordsIsQuery:
         sealed = store.sealed["bus"]
         assert any(c.is_cold for c in sealed)
         assert any(not c.is_cold for c in sealed)
-        assert store.tails["bus"].records
+        assert store.tails["bus"].count
         for filters in (
             dict(),
             dict(kind=RecordKind.FLOW_DENIED),

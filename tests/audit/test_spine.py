@@ -51,7 +51,7 @@ class TestStagedEmission:
             bus.flow_allowed(f"a{i}", "b")
         assert spine.pending == 0  # capacity reached -> drained
         assert spine.stats_ring_overflows == 1
-        assert len(spine.segment("bus").records) == 4
+        assert spine.segment("bus").count == 4
         assert spine.verify()
 
     def test_clock_tick_drains_in_background(self):
@@ -100,9 +100,16 @@ class TestSegmentsAndVerify:
 
     def test_verify_detects_post_drain_mutation(self):
         __, spine = make_spine()
-        record = spine.emitter("bus").flow_allowed("a", "b", CTX, CTX)
+        emitted = spine.emitter("bus").flow_allowed("a", "b", CTX, CTX)
         spine.drain()
         assert spine.verify()
+        # The chain holds the bytes it hashed, not the emitted object:
+        # editing that object changes no stored record.
+        object.__setattr__(emitted, "actor", "mallory")
+        assert spine.verify()
+        record = spine.records()[0]
+        assert record.actor == "a"
+        # A record a read handed out is held to its stored bytes.
         object.__setattr__(record, "actor", "mallory")
         assert not spine.verify()
         with pytest.raises(IntegrityViolation):
@@ -116,15 +123,16 @@ class TestSegmentsAndVerify:
         spine.checkpoint()
         # Truncate the segment behind the spine's back (not via prune).
         seg = spine.segment("bus")
-        seg.records.pop()
+        seg.canonicals.pop()
         seg.digests.pop()
         assert not spine.verify()
 
     def test_checkpoint_chain_itself_is_tamper_evident(self):
         __, spine = make_spine()
         spine.emitter("bus").flow_allowed("a", "b")
-        record = spine.checkpoint()
-        assert record is not None and record.kind == RecordKind.CHECKPOINT
+        assert spine.checkpoint() is not None
+        record = spine.checkpoints()[-1]
+        assert record.kind == RecordKind.CHECKPOINT
         object.__setattr__(record, "actor", "mallory")
         assert not spine.verify()
 
@@ -404,9 +412,9 @@ class TestSpineOffload:
 
     def test_collector_rejects_tampered_spine(self):
         __, spine = make_spine()
-        record = spine.emitter("bus").flow_allowed("a", "b")
+        spine.emitter("bus").flow_allowed("a", "b")
         spine.drain()
-        object.__setattr__(record, "subject", "mallory")
+        object.__setattr__(spine.records()[0], "subject", "mallory")
         collector = AuditCollector()
         assert collector.submit("evil", spine) is None
         assert "evil" in collector.rejected_domains

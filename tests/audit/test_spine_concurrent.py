@@ -18,5 +18,5 @@ class TestSpineConcurrent:
         assert spine.stats_ring_overflows >= 1
         spine.drain()
         assert len(spine) == 100
-        assert [r.detail["n"] for r in spine.segment("bus.w0").records] == list(range(100))
+        assert [r.detail["n"] for r in spine.segment("bus.w0").records()] == list(range(100))
         assert spine.verify()

@@ -3,6 +3,7 @@ cold-tier verification (header + chain), pruning across tier
 boundaries, hot/cold export identity, and the format-2 context table
 (see docs/audit_storage.md)."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from repro.audit import (
     load_spill,
     record_matches,
 )
-from repro.audit.records import context_table
+from repro.audit.records import _CONTEXTS, context_stats, named_contexts
 from repro.audit.storage import (
     SealedSegment,
     SegmentIndex,
@@ -29,6 +30,7 @@ from repro.audit.storage import (
     read_spill_header,
     write_spill,
 )
+from repro.deploy import Deployment
 from repro.errors import IntegrityViolation
 from repro.ifc import SecurityContext
 from repro.sim import Simulator
@@ -39,10 +41,13 @@ OTHER = SecurityContext.of(["medical", "bob"], ["hosp-dev"])
 
 def ref_of(ctx):
     """The reference a canonical record names ``ctx`` by."""
-    (ref,) = context_table(
-        [AuditRecord(0, 0.0, RecordKind.CUSTOM, "a", "", {}, ctx, None)]
-    )
-    return ref
+    record = AuditRecord(0, 0.0, RecordKind.CUSTOM, "a", "", {}, ctx, None)
+    return json.loads(record.canonical())["source_context"]
+
+
+def table_of(entries):
+    """The context table a spill file of ``entries`` carries."""
+    return {ref: _CONTEXTS[ref] for ref in named_contexts(c for c, __ in entries)}
 
 
 def make_spine(**kw):
@@ -303,7 +308,7 @@ class TestColdVerification:
         if doctor == "bad-bytes":
             blob = blob[:at] + b'"\xa2\xa2\xa2j"' + blob[at + 6:]
         elif doctor == "bad-length":
-            data_start, stride = chunk._spill_layout()
+            data_start, stride, __ = chunk._spill_layout()
             slot = data_start + (chunk.count - 1) * stride
             blob = blob[:slot] + b"\xff\xff\x00\x00" + blob[slot + 4:]
         else:
@@ -359,17 +364,17 @@ class TestSpillCodec:
         fill(sim, spine, n)
         seg = spine._store.tails["bus"]
         return seg, [
-            (seg.records[i].canonical(), seg.digest_at(i + 1))
-            for i in range(n)
+            (record.canonical(), seg.digest_at(i + 1))
+            for i, record in enumerate(seg.records())
         ]
 
     def test_round_trip(self, tmp_path):
         seg, entries = self._entries(7)
-        index = SegmentIndex.over(list(seg.records))
+        index = SegmentIndex.over(seg.records())
         path = tmp_path / "seg.seg"
         size, header_digest = write_spill(
             path, "bus", seg.base_digest, 0, seg.head, entries, index,
-            context_table(seg.records),
+            table_of(entries),
         )
         assert size == path.stat().st_size
         header, got = read_spill(path)
@@ -381,11 +386,11 @@ class TestSpillCodec:
 
     def test_header_carries_index(self, tmp_path):
         seg, entries = self._entries(5)
-        index = SegmentIndex.over(list(seg.records))
+        index = SegmentIndex.over(seg.records())
         path = tmp_path / "seg.seg"
         write_spill(
             path, "bus", seg.base_digest, 0, seg.head, entries, index,
-            context_table(seg.records),
+            table_of(entries),
         )
         loaded = SegmentIndex.from_dict(read_spill_header(path)["index"])
         assert loaded.actors == index.actors
@@ -404,7 +409,7 @@ class TestSegmentIndex:
     def _records(self):
         sim, spine = make_spine()
         fill(sim, spine, 6, actor="alice")
-        return list(spine._store.tails["bus"].records)
+        return spine._store.tails["bus"].records()
 
     def test_may_match_is_sound(self):
         records = self._records()
@@ -445,7 +450,7 @@ class TestSegmentIndex:
                 "rare" if i == 4 else "", {"i": i},
             )
         spine.drain()
-        index = SegmentIndex.over(list(spine._store.tails["bus"].records))
+        index = SegmentIndex.over(spine._store.tails["bus"].records())
         assert index.candidates(actor="alice", subject="rare") == [4]
         assert index.candidates(subject="") == [0, 1, 2, 3, 5]
         assert index.candidates(entity="rare") == [4]
@@ -681,7 +686,7 @@ class TestFormatTwo:
     def test_swapped_context_in_a_hot_record_breaks_the_chain(self):
         sim, spine = make_spine()
         fill(sim, spine, 4)
-        record = spine._store.tails["bus"].records[1]
+        record = spine._store.tails["bus"].records()[1]
         object.__setattr__(record, "target_context", OTHER)
         for mode in ("incremental", "deep"):
             assert not spine.verify(mode=mode)
@@ -731,3 +736,69 @@ class TestFormatTwo:
         exported[0]["contexts"][ref] = text.replace("local:ann", "local:bob")
         with pytest.raises(IntegrityViolation, match="does not hash"):
             decode_export(exported)
+
+
+def _fresh_context_entry(name):
+    """A hash-valid context-table entry for a context this process has
+    never serialised: its reference is in no table yet."""
+    text = json.dumps(
+        {"integrity": [], "secrecy": [f"never:{name}"]},
+        sort_keys=True, separators=(",", ":"),
+    )
+    return hashlib.sha256(text.encode()).hexdigest(), text
+
+
+class TestBoundedContextTable:
+    """An outside table grows the process's table only by the contexts
+    the records being decoded name; every other entry is refused and
+    counted."""
+
+    def test_an_entry_no_record_names_is_refused_and_counted(self):
+        log = AuditLog()
+        log.flow_allowed("a", "b", CTX, CTX)
+        exported = log.export()
+        ref, text = _fresh_context_entry("refused")
+        exported[0]["contexts"][ref] = text
+        refused = context_stats()["refused"]
+        assert decode_export(exported) == list(log)
+        assert ref not in _CONTEXTS
+        assert context_stats()["refused"] == refused + 1
+        deploy = Deployment(seed=1)
+        deploy.node("n").with_domain()
+        assert deploy.stats()["audit"]["contexts_refused"] == refused + 1
+
+    def test_a_named_entry_is_admitted(self):
+        ref, text = _fresh_context_entry("admitted")
+        record = AuditRecord(0, 0.0, RecordKind.CUSTOM, "a", "", {}, None, None)
+        body = json.loads(record.canonical())
+        body["source_context"] = ref
+        canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        (got,) = decode_export(
+            [{"record": canonical, "digest": "0" * 64, "contexts": {ref: text}}]
+        )
+        assert _CONTEXTS[ref] == text
+        assert [t.qualified for t in got.source_context.secrecy] == [
+            "never:admitted"
+        ]
+
+    @pytest.mark.parametrize("change", ["extra", "missing"])
+    def test_a_header_table_other_than_its_slots_name_fails_load_spill(
+        self, tmp_path, change
+    ):
+        sim, spine = make_spine()
+        fill(sim, spine, 4)
+        seg = spine._store.tails["bus"]
+        entries = seg.entries()
+        table = table_of(entries)
+        if change == "extra":
+            ref, text = _fresh_context_entry("extra")
+            table[ref] = text
+        else:
+            table = {}
+        path = tmp_path / "seg.seg"
+        write_spill(
+            path, "bus", seg.base_digest, 0, seg.head, entries,
+            SegmentIndex.over(seg.records()), table,
+        )
+        with pytest.raises(IntegrityViolation, match="context table"):
+            load_spill(path)

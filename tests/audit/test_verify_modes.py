@@ -12,6 +12,7 @@ accepts, under random interleavings of append/drain/seal/demote/prune/
 tamper, with tamper injected both before and after a successful verify.
 """
 
+import json
 import shutil
 import tempfile
 import time
@@ -31,7 +32,6 @@ from repro.audit import (
     VerifyStats,
 )
 from repro.audit.log import AuditLog
-from repro.audit.records import context_table
 from repro.errors import IntegrityViolation
 from repro.ifc import SecurityContext
 from repro.sim import Simulator
@@ -184,10 +184,8 @@ class TestWatermarkCursors:
 def _ref(ctx):
     """The reference a canonical record names ``ctx`` by (the table
     then holds it, so it is a valid reference to swap in)."""
-    (ref,) = context_table(
-        [AuditRecord(0, 0.0, RecordKind.CUSTOM, "a", "", {}, ctx, None)]
-    )
-    return ref.encode()
+    record = AuditRecord(0, 0.0, RecordKind.CUSTOM, "a", "", {}, ctx, None)
+    return json.loads(record.canonical())["source_context"].encode()
 
 
 OTHER = SecurityContext.of(["medical", "bob"], ["hosp-dev"])
@@ -237,8 +235,9 @@ class TestEveryTamperClassFlipsBothModes:
         sim, spine = cold_spine(tmp_path, hot_segments=1)
         settle_and_watermark(spine)
         fill(sim, spine, 3)  # a fresh, chained, hot tail
-        # Hot state is never watermarked: mutate a chained hot record.
-        spine._store.tails["bus"].records[-1].detail["i"] = 999_999
+        # Hot state is never watermarked: mutate a record a read of the
+        # hot tail returned.
+        spine.records()[-1].detail["i"] = 999_999
         assert not spine.verify(mode=mode)
 
     @pytest.mark.parametrize("mode", ["incremental", "deep"])
@@ -246,7 +245,7 @@ class TestEveryTamperClassFlipsBothModes:
         __, spine = cold_spine(tmp_path)
         spine.checkpoint()
         settle_and_watermark(spine)
-        spine._ckpt.records[-1].detail["heads"]["bus"] = "f" * 64
+        spine.checkpoints()[-1].detail["heads"]["bus"] = "f" * 64
         assert not spine.verify(mode=mode)
 
     @pytest.mark.parametrize("mode", ["incremental", "deep"])
@@ -258,10 +257,8 @@ class TestEveryTamperClassFlipsBothModes:
         # Shed the newest history wholesale: drop the tail's records
         # below the checkpointed position.
         tail = spine._store.tails["bus"]
-        tail.records = tail.records[:0]
+        tail.canonicals = tail.canonicals[:0]
         tail.digests = tail.digests[:0]
-        if tail.canonicals is not None:
-            tail.canonicals = tail.canonicals[:0]
         assert not spine.verify(mode=mode)
 
 
@@ -399,9 +396,9 @@ def test_incremental_accepts_exactly_what_deep_accepts(ops):
                             _rreplace(blob, b'"subj"', b'"EVIL"')
                         )
             elif op == "tamper_memory":
-                tail = spine._store.tails["bus"]
-                if tail.records:
-                    tail.records[-1].detail["i"] = 999_999
+                records = spine._store.tails["bus"].records()
+                if records:
+                    records[-1].detail["i"] = 999_999
         incremental = spine.verify(mode="incremental")
         deep = spine.verify(mode="deep")
         assert incremental == deep

@@ -91,7 +91,7 @@ class TestVerification:
         # A re-chained forgery with the same checkpoint position but
         # different content: locally consistent, globally caught.
         forged = spine_with(n_records=6, checkpoint_every=2)
-        forged._segments["main"].records[0].detail["i"] = 99  # pre-rechain
+        forged.segment("main").records()[0].detail["i"] = 99  # pre-rechain
         rebuilt = AuditSpine(name="audit@dom", checkpoint_every=10**9)
         for record in forged:
             rebuilt.emit("main", record.kind, record.actor, record.subject,

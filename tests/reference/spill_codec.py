@@ -19,12 +19,7 @@ from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.audit.log import _DIGEST_BYTES
 from repro.audit.records import AuditRecord, _context_tags
-from repro.audit.storage import (
-    _LEN,
-    SegmentIndex,
-    _align16,
-    _extend_postings,
-)
+from repro.audit.storage import _LEN, SegmentIndex, _align16
 from repro.ifc import SecurityContext
 
 MAGIC = b"RAUDSEG2"
@@ -63,7 +58,9 @@ def index_over(records: List[AuditRecord]) -> SegmentIndex:
         tags |= _context_tags(ctx)
     by_actor: Dict[str, List[int]] = {}
     by_subject: Dict[str, List[int]] = {}
-    _extend_postings(by_actor, by_subject, records, 0)
+    for i, r in enumerate(records):
+        by_actor.setdefault(r.actor, []).append(i)
+        by_subject.setdefault(r.subject, []).append(i)
     return SegmentIndex(
         time_min=min(r.timestamp for r in records),
         time_max=max(r.timestamp for r in records),
