@@ -3,7 +3,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: verify test lint bench bench-wire bench-audit bench-federation \
 	bench-query bench-transport bench-verify bench-analysis bench-all \
-	perfbench ab
+	perfbench ab export-digests
 
 # Tier-1 verification: the whole suite, fail-fast.  The bench smoke
 # list (decision-plane + wire-plane scale benches, with their ratio
@@ -30,9 +30,9 @@ lint:
 		echo "ruff not installed; compileall-only lint"; \
 	fi
 
-# Quick bench: the decision-plane microbenchmarks (DecisionPlane.evaluate
-# vs the seed's frozenset rule, batched vs single publish), with the
-# report rows printed and BENCH_decision_plane.json regenerated.
+# Quick bench: the decision-plane microbenchmark (DecisionPlane.evaluate
+# vs the seed's frozenset rule), with the report rows printed and
+# BENCH_decision_plane.json regenerated.
 bench:
 	BENCH_WRITE=1 $(PYTHON) -m pytest benchmarks/test_scale_decision_cache.py -q -s
 
@@ -99,6 +99,14 @@ WORKLOAD ?= ward_stream
 PAIRS ?= 10
 ab:
 	$(PYTHON) scripts/ab_pairs.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
+
+# Byte identity of what one workload's audit trail exports: the sha256
+# of every sink's export and checkpoints, spill file, compliance and
+# provenance report, plus the workload's counts(), compared against
+# BASE (a temporary git worktree); BASE= (empty) just prints them.
+SEED ?= 1
+export-digests:
+	$(PYTHON) scripts/export_digests.py --workload $(WORKLOAD) --seed $(SEED) $(if $(BASE),--base $(BASE))
 
 # The full figure/scale benchmark suite.
 bench-all:

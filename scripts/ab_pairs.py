@@ -28,10 +28,30 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+@contextmanager
+def worktree(ref: str) -> Iterator[Path]:
+    """``ref`` checked out in a temporary ``git worktree``, removed on
+    exit."""
+    path = Path(tempfile.mkdtemp(prefix="ab-base-")) / "base"
+    subprocess.run(
+        ["git", "worktree", "add", "--detach", str(path), ref],
+        cwd=ROOT, check=True, capture_output=True,
+    )
+    try:
+        yield path
+    finally:
+        subprocess.run(
+            ["git", "worktree", "remove", "--force", str(path)],
+            cwd=ROOT, capture_output=True,
+        )
+        shutil.rmtree(path.parent, ignore_errors=True)
 
 
 def _quartiles(values: Sequence[float]):
@@ -141,30 +161,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    worktree = Path(tempfile.mkdtemp(prefix="ab-base-")) / "base"
-    subprocess.run(
-        ["git", "worktree", "add", "--detach", str(worktree), args.base],
-        cwd=ROOT, check=True, capture_output=True,
-    )
     base_lines: List[str] = []
     change_lines: List[str] = []
     try:
-        for pair in range(1, args.pairs + 1):
-            order = [(worktree, base_lines), (ROOT, change_lines)]
-            if pair % 2 == 0:
-                order.reverse()
-            for checkout, lines in order:
-                lines.append(_run(checkout, args.workload, args.seed))
-            print(f"pair {pair}/{args.pairs} done", file=sys.stderr)
+        with worktree(args.base) as base:
+            for pair in range(1, args.pairs + 1):
+                order = [(base, base_lines), (ROOT, change_lines)]
+                if pair % 2 == 0:
+                    order.reverse()
+                for checkout, lines in order:
+                    lines.append(_run(checkout, args.workload, args.seed))
+                print(f"pair {pair}/{args.pairs} done", file=sys.stderr)
     except (ValueError, subprocess.CalledProcessError) as err:
         print(f"ab_pairs: {err}", file=sys.stderr)
         return 1
-    finally:
-        subprocess.run(
-            ["git", "worktree", "remove", "--force", str(worktree)],
-            cwd=ROOT, capture_output=True,
-        )
-        shutil.rmtree(worktree.parent, ignore_errors=True)
     print(f"{args.workload} seed {args.seed}: {args.base} vs working tree, "
           f"{args.pairs} alternating pairs")
     print(format_rows(summarise(base_lines, change_lines, end_to_end)))

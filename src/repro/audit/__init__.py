@@ -7,8 +7,9 @@ from repro.audit.records import (
     record_matches,
     record_tags,
 )
-from repro.audit.log import GENESIS_DIGEST, AuditLog, RecorderMixin
+from repro.audit.log import AuditLog, RecorderMixin
 from repro.audit.storage import (
+    GENESIS_DIGEST,
     SealedSegment,
     SegmentIndex,
     SegmentStore,

@@ -13,43 +13,12 @@ digest so the remaining suffix still authenticates.
 
 from __future__ import annotations
 
-import hashlib
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional
 
-from repro.audit.records import (
-    AuditRecord,
-    RecordKind,
-    record_matches,
-    ship_contexts,
-)
+from repro.audit.records import AuditRecord, RecordKind, ship_contexts
+from repro.audit.storage import GENESIS_DIGEST, AuditSegment, matching
 from repro.errors import IntegrityViolation
 from repro.ifc.labels import SecurityContext
-
-GENESIS_DIGEST = hashlib.sha256(b"repro-audit-genesis").hexdigest()
-_DIGEST_BYTES = 64  # sha256 hex
-
-
-def chain_digest(previous: str, canonical: str) -> str:
-    """Extend a hash chain by one record's canonical serialisation."""
-    return hashlib.sha256((previous + canonical).encode()).hexdigest()
-
-
-def replay_chain(
-    base: str, canonicals: Iterable[str], stored: Iterable[str]
-) -> Tuple[int, Optional[int]]:
-    """The one verify loop: re-hash from ``base``, compare with ``stored``.
-
-    Returns ``(bytes hashed, first mismatching position or None)``,
-    counting each record's canonical plus its stored digest.
-    """
-    digest = base
-    hashed = 0
-    for position, (canonical, expected) in enumerate(zip(canonicals, stored)):
-        digest = chain_digest(digest, canonical)
-        hashed += len(canonical) + _DIGEST_BYTES
-        if digest != expected:
-            return hashed, position
-    return hashed, None
 
 
 def _deep_of(mode: str) -> bool:
@@ -136,19 +105,13 @@ class AuditLog(RecorderMixin):
     supplies timestamps (wire it to the simulator for deterministic
     runs).
 
-    ``buffer_size`` enables the buffered writer used by batched
-    workloads: records are appended immediately (they are visible to
-    ``records()``/iteration right away) but their chain digests are
-    computed lazily, in chunks, once ``buffer_size`` records are pending
-    or on an explicit :meth:`flush`.  Everything that *observes* the
-    chain — :attr:`head_digest`, :meth:`verify`, :meth:`export`,
-    :meth:`prune_before` — flushes first, so the chain construction and
-    the ``verify()`` result are byte-identical to an unbuffered log with
-    the same records.  Each record's digest material (its canonical
-    serialisation) is snapshotted *at append time*, so the chain always
-    reflects what was appended: a still-pending record mutated in memory
-    before its first flush is chained as appended and the mutation is
-    detected by :meth:`verify`, exactly as in unbuffered mode.
+    The log is one :class:`~repro.audit.storage.AuditSegment` whose
+    genesis is :data:`GENESIS_DIGEST`: each append chains at once, and
+    the segment keeps the canonical string it hashed, not the record.
+    The record ``append`` returns is the caller's; editing it changes
+    nothing stored.  Reads decode the stored strings, and
+    :meth:`verify` replays them and holds every record a read handed
+    out to the string it came from.
 
     Example::
 
@@ -161,37 +124,23 @@ class AuditLog(RecorderMixin):
         self,
         clock: Optional[Callable[[], float]] = None,
         name: str = "audit",
-        buffer_size: int = 0,
     ):
         self.name = name
         self._clock = clock or (lambda: 0.0)
-        self._records: List[AuditRecord] = []
-        self._digests: List[str] = []
-        # Canonical serialisations of records not yet folded into the
-        # chain, snapshotted at append time (see the class docstring).
-        self._pending_canonicals: List[str] = []
-        self._base_digest = GENESIS_DIGEST
-        self._base_seq = 0
-        self.buffer_size = buffer_size
+        self._chain = AuditSegment(name, GENESIS_DIGEST)
 
     # -- core append/verify ------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._chain.count
 
     def __iter__(self) -> Iterator[AuditRecord]:
-        return iter(self._records)
-
-    @property
-    def pending(self) -> int:
-        """Records appended but not yet folded into the hash chain."""
-        return len(self._records) - len(self._digests)
+        return iter(self._chain.records())
 
     @property
     def head_digest(self) -> str:
         """Digest of the most recent record (genesis digest when empty)."""
-        self.flush()
-        return self._digests[-1] if self._digests else self._base_digest
+        return self._chain.head
 
     def append(
         self,
@@ -202,41 +151,19 @@ class AuditLog(RecorderMixin):
         source_context: Optional[SecurityContext] = None,
         target_context: Optional[SecurityContext] = None,
     ) -> AuditRecord:
-        """Append one record, extending the hash chain.
-
-        In buffered mode the chain extension is deferred; see
-        :meth:`flush`.
-        """
+        """Append one record, extending the hash chain."""
+        chain = self._chain
         record = AuditRecord(
-            self._base_seq + len(self._records), self._clock(), kind, actor,
-            subject, dict(detail) if detail else {}, source_context,
-            target_context,
+            chain.total, self._clock(), kind, actor, subject,
+            dict(detail) if detail else {}, source_context, target_context,
         )
-        self._records.append(record)
-        self._pending_canonicals.append(record.canonical())
-        if self.buffer_size <= 0 or self.pending >= self.buffer_size:
-            self.flush()
+        chain.chain(record)
         return record
 
     def flush(self) -> int:
-        """Fold all pending records into the hash chain, in one chunk.
-
-        Returns the number of records whose digests were computed.
-        Idempotent; a no-op on an unbuffered or already-flushed log.
-        The chain is built from the canonical serialisations captured at
-        append time, not from the records' current in-memory state.
-        """
-        pending = self._pending_canonicals
-        if not pending:
-            return 0
-        digests = self._digests
-        digest = digests[-1] if digests else self._base_digest
-        for canonical in pending:
-            digest = chain_digest(digest, canonical)
-            digests.append(digest)
-        flushed = len(pending)
-        pending.clear()
-        return flushed
+        """The :class:`~repro.audit.sink.AuditSink` flush: appends chain
+        at once, so nothing is ever deferred.  Returns 0."""
+        return 0
 
     def verify(self, mode: str = "deep") -> bool:
         """Recompute the whole chain; True iff untampered.
@@ -246,8 +173,8 @@ class AuditLog(RecorderMixin):
 
         ``mode`` exists for :class:`AuditSink` signature compatibility
         with the spine's verification plane; a flat log is one
-        unsegmented in-memory chain, so every call is a full recompute
-        regardless (there are no immutable cold segments to watermark).
+        in-memory chain, so every call is a full recompute regardless
+        (there are no immutable cold segments to watermark).
         """
         _deep_of(mode)  # validates the mode; a flat log always re-hashes
         try:
@@ -263,16 +190,7 @@ class AuditLog(RecorderMixin):
         :meth:`~repro.audit.spine.AuditSpine.verify_strict` and ignored:
         a flat log always recomputes everything.
         """
-        self.flush()
-        __, bad = replay_chain(
-            self._base_digest,
-            map(AuditRecord.canonical, self._records),
-            self._digests,
-        )
-        if bad is not None:
-            raise IntegrityViolation(
-                f"audit chain broken at seq {self._records[bad].seq}"
-            )
+        self._chain.verify()
 
     # -- query & maintenance -------------------------------------------------
 
@@ -289,7 +207,7 @@ class AuditLog(RecorderMixin):
 
     def denials(self) -> List[AuditRecord]:
         """All denied flows/accesses — the compliance hot list."""
-        return [r for r in self._records if r.is_denial]
+        return [r for r in self if r.is_denial]
 
     def query(
         self,
@@ -304,24 +222,17 @@ class AuditLog(RecorderMixin):
     ) -> List[AuditRecord]:
         """Filtered query with the full audit-plane vocabulary.
 
-        The flat-scan implementation of the :class:`~repro.audit.sink.
-        AuditSink` ``query()`` surface: same
-        :func:`~repro.audit.records.record_matches` predicate — and
-        therefore the same results — as a tiered spine's index-backed
-        query, minus the index short-circuit (a plain log has no sealed
-        segments to skip).  ``entity`` matches actor or subject;
-        ``tag`` is a qualified ``"namespace:name"`` string matched
-        against either recorded context.
+        Served like a spine tail: the segment's posting lists name the
+        only records to read, and each is held to
+        :func:`~repro.audit.records.record_matches` — the same results
+        as a flat scan.  ``entity`` matches actor or subject; ``tag`` is
+        a qualified ``"namespace:name"`` string matched against either
+        recorded context.
         """
-        matched = []
-        for record in self._records:
-            if stats is not None:
-                stats.records_scanned += 1
-            if record_matches(
-                record, kind, actor, subject, entity, tag, since, until
-            ):
-                matched.append(record)
-        return matched
+        return matching(
+            self._chain, kind, actor, subject, entity, tag, since, until,
+            stats,
+        )
 
     def prune_before(self, timestamp: float) -> int:
         """Discard records older than ``timestamp`` (Challenge 6).
@@ -329,23 +240,10 @@ class AuditLog(RecorderMixin):
         The digest of the last pruned record becomes the new chain base,
         so the retained suffix still verifies; auditors holding the old
         head digest can still authenticate continuity.  Returns the
-        number of records pruned.  Buffered appends are flushed first so
-        the new chain base is always a real, computed digest.
+        number of records pruned.
         """
-        self.flush()
-        keep_from = 0
-        while (
-            keep_from < len(self._records)
-            and self._records[keep_from].timestamp < timestamp
-        ):
-            keep_from += 1
-        if keep_from == 0:
-            return 0
-        self._base_digest = self._digests[keep_from - 1]
-        self._base_seq = self._records[keep_from - 1].seq + 1
-        self._records = self._records[keep_from:]
-        self._digests = self._digests[keep_from:]
-        return keep_from
+        chain = self._chain
+        return chain.prune_prefix(chain.age_prefix(timestamp))
 
     def export(self) -> List[Dict]:
         """Serialise records (with digests) for offload to another party
@@ -353,8 +251,6 @@ class AuditLog(RecorderMixin):
         audit?").  The first entry to name each context carries its
         table entry, so :func:`~repro.audit.records.decode_export`
         decodes the export alone."""
-        self.flush()
         return ship_contexts([
-            {"record": r.canonical(), "digest": d}
-            for r, d in zip(self._records, self._digests)
+            {"record": c, "digest": d} for c, d in self._chain.entries()
         ])

@@ -1,14 +1,15 @@
 """The unified audit-sink surface every audit writer satisfies.
 
-Historically the repo grew two parallel audit APIs: the per-domain
-:class:`~repro.audit.log.AuditLog` (synchronous hash-chaining, the
-paper's §8.3 construction) and the per-machine
+Two kinds of writer share one hash chain implementation
+(:class:`~repro.audit.storage.AuditSegment`): the per-domain
+:class:`~repro.audit.log.AuditLog`, one segment chained synchronously
+on every append (the paper's §8.3 construction), and the per-machine
 :class:`~repro.audit.spine.AuditSpine` with its per-source
-:class:`~repro.audit.spine.SpineEmitter` handles (staged emission off
-the delivery path, ``docs/audit_plane.md``).  Both expose the same
-write/read/maintenance vocabulary; every consumer that was written
-against one silently worked against the other, but nothing *named* the
-contract.  :class:`AuditSink` names it.
+:class:`~repro.audit.spine.SpineEmitter` handles, which stage records
+off the delivery path and chain them into per-source segments at each
+drain (``docs/audit_plane.md``).  Both expose the same
+write/read/maintenance vocabulary, and :class:`AuditSink` names that
+contract.
 
 The contract is what :func:`~repro.audit.spine.bind_source` adapts
 between: any component that takes an ``audit`` argument accepts an
@@ -46,8 +47,9 @@ class AuditSink(Protocol):
 
     Writers: :meth:`append` plus the :class:`~repro.audit.log.
     RecorderMixin` vocabulary built on it.  Readers: filtering,
-    iteration and the denial hot list.  Integrity: deferred work is
-    folded in by :meth:`flush`, :meth:`verify` recomputes the chain(s),
+    iteration and the denial hot list.  Integrity: :meth:`flush` chains
+    what a spine has staged (a log defers nothing), :meth:`verify`
+    recomputes the chain(s),
     :attr:`head_digest` authenticates the whole sink, and
     :meth:`export` / :meth:`prune_before` keep offload and retention
     tamper-evident.
@@ -66,7 +68,7 @@ class AuditSink(Protocol):
         source_context: Optional[SecurityContext] = None,
         target_context: Optional[SecurityContext] = None,
     ) -> AuditRecord:
-        """Record one event (chaining may be deferred; see flush)."""
+        """Record one event (a spine chains it at its next drain)."""
         ...
 
     # -- reading -----------------------------------------------------------
@@ -97,10 +99,10 @@ class AuditSink(Protocol):
 
         Superset of :meth:`records`: adds ``entity`` (actor *or*
         subject) and ``tag`` (qualified ``"namespace:name"``) filters.
-        A tiered :class:`~repro.audit.spine.AuditSpine` answers from
-        per-segment indexes (``docs/audit_storage.md``); a plain
-        :class:`~repro.audit.log.AuditLog` flat-scans — results are
-        identical either way.  ``stats`` optionally receives a
+        Both answer from their segments' posting lists, and a tiered
+        :class:`~repro.audit.spine.AuditSpine` skips sealed segments by
+        their indexes (``docs/audit_storage.md``) — results are those
+        of a flat scan either way.  ``stats`` optionally receives a
         :class:`~repro.audit.query.QueryStats` to fill.
         """
         ...
@@ -116,7 +118,8 @@ class AuditSink(Protocol):
     # -- integrity & maintenance ------------------------------------------
 
     def flush(self) -> int:
-        """Fold any deferred records into the chain; returns how many."""
+        """Chain what a spine has staged; returns how many records (0
+        for a log, whose appends chain at once)."""
         ...
 
     def verify(self, mode: str = ...) -> bool:  # type: ignore[assignment]

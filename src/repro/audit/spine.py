@@ -53,17 +53,14 @@ import itertools
 import time
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.audit.log import GENESIS_DIGEST, RecorderMixin, _deep_of
-from repro.audit.records import (
-    AuditRecord,
-    RecordKind,
-    record_matches,
-    ship_contexts,
-)
+from repro.audit.log import RecorderMixin, _deep_of
+from repro.audit.records import AuditRecord, RecordKind, ship_contexts
 from repro.audit.storage import (  # noqa: F401  (AuditSegment re-exported)
+    GENESIS_DIGEST,
     AuditSegment,
     SegmentStore,
     _segment_genesis,
+    matching,
 )
 from repro.audit.verify import VerifyStats
 from repro.errors import IntegrityViolation
@@ -593,9 +590,8 @@ class AuditSpine(RecorderMixin):
         """
         self.drain()  # staged records are part of the stream
         kind_value = kind.value if kind is not None else None
-        # One list of candidate records per chunk read: the whole
-        # chunk, or just the records its posting lists name.
-        reads: List[List[AuditRecord]] = []
+        filters = (kind, actor, subject, entity, tag, since, until)
+        matched: List[AuditRecord] = []
         store = self._store
         for source in store.sources():
             for chunk in store.sealed.get(source, ()):
@@ -613,28 +609,8 @@ class AuditSpine(RecorderMixin):
                     store.stats_cold_loads += 1
                     if stats is not None:
                         stats.cold_loads += 1
-                offsets = chunk.index.candidates(actor, subject, entity)
-                reads.append(
-                    chunk.records() if offsets is None
-                    else chunk.records_at(offsets)
-                )
-            tail = store.tails[source]
-            offsets = tail.candidates(actor, subject, entity)
-            reads.append(
-                tail.records() if offsets is None
-                else tail.records_at(offsets)
-            )
-        matched: List[AuditRecord] = []
-        for records in reads:
-            if stats is not None:
-                stats.records_scanned += len(records)
-            matched.extend(
-                record for record in records
-                if record_matches(
-                    record, kind, actor, subject, entity, tag,
-                    since, until,
-                )
-            )
+                matched.extend(matching(chunk, *filters, stats))
+            matched.extend(matching(store.tails[source], *filters, stats))
         matched.sort(key=lambda r: r.seq)
         return matched
 

@@ -79,13 +79,13 @@ from typing import (
     Tuple,
 )
 
-from repro.audit.log import _DIGEST_BYTES, chain_digest, replay_chain
 from repro.audit.records import (
     _CONTEXTS,
     AuditRecord,
     _context_ref,
     _context_tags,
     named_contexts,
+    record_matches,
     register_contexts,
     ship_contexts,
 )
@@ -107,6 +107,84 @@ _UNSAFE = re.compile(r"[^a-zA-Z0-9_.\-]")
 #: that lands *after* a successful verify always perturbs the stat the
 #: watermark recorded, so incremental mode re-verifies it.
 _STAT_MARGIN_NS = 50_000_000
+
+
+GENESIS_DIGEST = hashlib.sha256(b"repro-audit-genesis").hexdigest()
+#: A chain digest as written out (exports, spill slots): sha256 hex.
+_DIGEST_BYTES = 64
+#: A chain digest as a chunk holds it: the raw sha256 value, packed
+#: one after another in one buffer per chunk.
+_RAW_BYTES = 32
+#: Links a replay compares at once: one memory compare per block,
+#: and the replay's own buffer stays at 128 KB however long the chain.
+_REPLAY_BLOCK = 4096
+
+
+def chain_digest(previous: str, canonical: str) -> bytes:
+    """Extend a hash chain by one record: the raw sha256 of the previous
+    hex digest followed by the record's canonical serialisation (the
+    next link chains from its ``.hex()``)."""
+    return hashlib.sha256((previous + canonical).encode()).digest()
+
+
+def replay_chain(
+    base: str, canonicals: Sequence[str], packed: bytes
+) -> Tuple[int, Optional[int]]:
+    """The one verify loop: re-hash ``canonicals`` from ``base`` and hold
+    the links to the stored digests in ``packed`` (raw digests, one per
+    record), compared a block of :data:`_REPLAY_BLOCK` links at a time.
+
+    Returns ``(bytes hashed, first mismatching position or None)``,
+    counting each record's canonical plus its digest as written out.  A
+    digest column longer or shorter than the strings mismatches at the
+    first record one of them lacks.
+    """
+    hashed = sum(map(len, canonicals)) + _DIGEST_BYTES * len(canonicals)
+    digest = base
+    for start in range(0, len(canonicals), _REPLAY_BLOCK):
+        replayed = bytearray()
+        for canonical in canonicals[start:start + _REPLAY_BLOCK]:
+            raw = chain_digest(digest, canonical)
+            replayed += raw
+            digest = raw.hex()
+        at = start * _RAW_BYTES
+        stored = packed[at:at + len(replayed)]
+        if replayed != stored:
+            for i in range(0, len(replayed), _RAW_BYTES):
+                if replayed[i:i + _RAW_BYTES] != stored[i:i + _RAW_BYTES]:
+                    return hashed, start + i // _RAW_BYTES
+    if len(packed) != _RAW_BYTES * len(canonicals):
+        return hashed, len(canonicals)
+    return hashed, None
+
+
+def _hex_at(packed: bytes, offset: int) -> str:
+    """The hex digest of record ``offset`` in a packed digest column."""
+    return packed[offset * _RAW_BYTES:(offset + 1) * _RAW_BYTES].hex()
+
+
+def _hexes(packed: bytes) -> List[str]:
+    """Every hex digest of a packed digest column, in order."""
+    return [
+        packed[at:at + _RAW_BYTES].hex()
+        for at in range(0, len(packed), _RAW_BYTES)
+    ]
+
+
+def _pack(hexes: List[str]) -> bytes:
+    """Hex digests read from a spill file, packed.  Only lowercase
+    sha256 hex packs: anything else in a digest slot is an integrity
+    violation, as it was when the text itself was compared."""
+    joined = "".join(hexes)
+    try:
+        packed = bytes.fromhex(joined)
+    except ValueError:
+        packed = b""
+    if len(packed) != _RAW_BYTES * len(hexes) or packed.hex() != joined:
+        raise IntegrityViolation(
+            "a spill slot's chain digest is not a sha256 hex digest"
+        )
+    return packed
 
 
 def _segment_genesis(spine_name: str, source: str) -> str:
@@ -167,10 +245,9 @@ class _Columns:
         else:
             posting.append(offset)
         ts = record.timestamp
-        if self.times.__class__ is array and (
-            ts.__class__ is not float or ts != ts
-        ):
-            self.times = list(self.times)
+        if ts.__class__ is not float or ts != ts:
+            if self.times.__class__ is array:
+                self.times = list(self.times)
         self.times.append(ts)
         try:
             self.seqs.append(record.seq)
@@ -184,13 +261,15 @@ class _Columns:
             record.kind._value_, src.secrecy._mask, src.integrity._mask,
             tgt.secrecy._mask, tgt.integrity._mask,
         )
-        shape = self._shape_ids.get(key)
-        if shape is None:
+        # A new shape is rare: a plain subscript, first use in the handler.
+        try:
+            shapes.append(self._shape_ids[key])
+        except KeyError:
             shape = self._shape_ids[key] = len(self._shape_list)
             self._shape_list.append(
                 (key[0], record.source_context, record.target_context)
             )
-        shapes.append(shape)
+            shapes.append(shape)
 
     def split(self, k: int) -> "_Columns":
         """Cut off the first ``k`` records' material and return it; the
@@ -284,17 +363,20 @@ def _verify_strings(
     base_digest: str,
     base_count: int,
     canonicals: Sequence[str],
-    digests: Sequence[str],
+    digests: bytes,
     memo: Dict[int, AuditRecord],
+    head: str,
 ) -> int:
-    """Replay a chunk's stored strings from its base, then hold every
-    record a read was handed (the memo) to the string it came from.
-    Returns the digest-material bytes re-hashed."""
+    """Replay a chunk's stored strings from its base to ``head``, then
+    hold every record a read was handed (the memo) to the string it
+    came from.  Returns the digest-material bytes re-hashed."""
     hashed, bad = replay_chain(base_digest, canonicals, digests)
     if bad is not None:
         raise IntegrityViolation(
             f"{what} chain broken at record {base_count + bad}"
         )
+    if (digests[-_RAW_BYTES:].hex() if digests else base_digest) != head:
+        raise IntegrityViolation(f"{what} head mismatch after replay")
     for i, record in memo.items():
         if record.canonical() != canonicals[i]:
             raise IntegrityViolation(
@@ -305,25 +387,28 @@ def _verify_strings(
 
 
 class AuditSegment:
-    """One source's open hash-chain tail inside a spine.
+    """One open hash chain: an :class:`~repro.audit.log.AuditLog`, a
+    spine source's tail, or a spine's checkpoint chain.
 
-    Records are chained exactly as in :class:`~repro.audit.log.AuditLog`
-    (``digest = sha256(prev + canonical)``), but the chain base is
-    domain-separated by spine and source name so segments from different
-    sources can never be spliced into one another.  ``base_count`` is
-    the absolute position of the first retained record — pruning (or
+    Each record's digest is ``sha256(previous hex digest + canonical)``
+    from a genesis digest; a spine domain-separates its segments'
+    genesis by spine and source name so segments from different sources
+    can never be spliced into one another.  ``base_count`` is the
+    absolute position of the first retained record — pruning (or
     sealing) a prefix promotes the last covered digest to
-    ``base_digest``, keeping the retained suffix verifiable, exactly
-    like ``AuditLog.prune_before``.
+    ``base_digest``, keeping the retained suffix verifiable.
 
-    The tail keeps the canonical strings it hashed, not the records:
-    reads decode them through a per-chunk memo, and its
-    :class:`_Columns` hold the query postings and what a seal needs.
+    The segment keeps the canonical strings it hashed, not the records,
+    and their digests packed raw in one ``bytearray`` (32 bytes a
+    record; hex only at :meth:`digest_at`, :attr:`head` and
+    :meth:`entries`).  Reads decode the strings through a per-chunk
+    memo, and its :class:`_Columns` hold the query postings and what a
+    seal needs.
     """
 
     __slots__ = (
-        "source", "canonicals", "digests", "base_digest", "base_count",
-        "columns", "_memo",
+        "source", "canonicals", "digests", "head", "base_digest",
+        "base_count", "columns", "_memo",
     )
 
     is_cold = False
@@ -331,35 +416,33 @@ class AuditSegment:
     def __init__(self, source: str, genesis: str):
         self.source = source
         self.canonicals: List[str] = []
-        self.digests: List[str] = []
+        self.digests = bytearray()
+        #: Hex digest of the last chained record (the base digest when
+        #: none is retained): what the next record chains from.
+        self.head = genesis
         self.base_digest = genesis
         self.base_count = 0
         self.columns = _Columns()
         self._memo: Dict[int, AuditRecord] = {}
 
     @property
-    def head(self) -> str:
-        """Digest of the last chained record (base digest when empty)."""
-        return self.digests[-1] if self.digests else self.base_digest
-
-    @property
     def count(self) -> int:
         """Retained records."""
-        return len(self.digests)
+        return len(self.canonicals)
 
     @property
     def total(self) -> int:
         """Absolute chain position of the head (pruned + retained)."""
-        return self.base_count + len(self.digests)
+        return self.base_count + len(self.canonicals)
 
-    def chain(self, record: AuditRecord) -> str:
+    def chain(self, record: AuditRecord) -> None:
         """Fold one record into this segment's chain."""
         canonical = record.canonical()
-        digest = chain_digest(self.head, canonical)
+        raw = chain_digest(self.head, canonical)
+        self.head = raw.hex()
+        self.digests += raw
         self.columns.add(record)
         self.canonicals.append(canonical)
-        self.digests.append(digest)
-        return digest
 
     def digest_at(self, position: int) -> Optional[str]:
         """Chain digest at absolute ``position``, or None if pruned away.
@@ -373,11 +456,11 @@ class AuditSegment:
             return self.base_digest
         if position > self.total:
             return None
-        return self.digests[position - self.base_count - 1]
+        return _hex_at(self.digests, position - self.base_count - 1)
 
     def entries(self) -> List[Tuple[str, str]]:
-        """(canonical, digest) pairs, verbatim."""
-        return list(zip(self.canonicals, self.digests))
+        """(canonical, hex digest) pairs, the strings verbatim."""
+        return list(zip(self.canonicals, _hexes(self.digests)))
 
     def records(self) -> List[AuditRecord]:
         """Every retained record, oldest first."""
@@ -395,7 +478,7 @@ class AuditSegment:
         """
         return _verify_strings(
             f"segment {self.source!r}", self.base_digest, self.base_count,
-            self.canonicals, self.digests, self._memo,
+            self.canonicals, self.digests, self._memo, self.head,
         )
 
     def age_prefix(self, timestamp: float) -> int:
@@ -423,16 +506,17 @@ class AuditSegment:
         memo, __ = _split_memo(self._memo, k)
         chunk = SealedSegment(
             self.source, self.base_digest, self.base_count,
-            self.canonicals[:k], self.digests[:k], index, contexts, memo,
+            self.canonicals[:k], self.digests[:k * _RAW_BYTES], index,
+            contexts, memo,
         )
         self._rebase(k)
         return chunk
 
     def _rebase(self, k: int) -> None:
-        self.base_digest = self.digests[k - 1]
+        self.base_digest = _hex_at(self.digests, k - 1)
         self.base_count += k
-        self.canonicals = self.canonicals[k:]
-        self.digests = self.digests[k:]
+        del self.canonicals[:k]
+        del self.digests[:k * _RAW_BYTES]
         __, self._memo = _split_memo(self._memo, k)
 
     def candidates(
@@ -447,6 +531,36 @@ class AuditSegment:
             self.columns.by_actor, self.columns.by_subject,
             actor, subject, entity,
         )
+
+
+def matching(
+    chunk,
+    kind=None,
+    actor: Optional[str] = None,
+    subject: Optional[str] = None,
+    entity: Optional[str] = None,
+    tag: Optional[str] = None,
+    since: Optional[float] = None,
+    until: Optional[float] = None,
+    stats=None,
+) -> List[AuditRecord]:
+    """A chunk's records that satisfy
+    :func:`~repro.audit.records.record_matches`, oldest first.
+
+    Only the records on the filter's shortest posting list are read
+    (every record when it names no actor, subject or entity); ``stats``
+    (a :class:`~repro.audit.query.QueryStats`) counts the records read.
+    """
+    offsets = chunk.candidates(actor, subject, entity)
+    records = chunk.records() if offsets is None else chunk.records_at(offsets)
+    if stats is not None:
+        stats.records_scanned += len(records)
+    return [
+        record for record in records
+        if record_matches(
+            record, kind, actor, subject, entity, tag, since, until
+        )
+    ]
 
 
 def _candidates(
@@ -789,7 +903,7 @@ def load_spill(path: Path) -> List[AuditRecord]:
     try:
         base, head = header["base_digest"], header["head"]
         __, bad = replay_chain(
-            base, (c for c, __ in entries), (d for __, d in entries)
+            base, [c for c, __ in entries], _pack([d for __, d in entries])
         )
     except (KeyError, TypeError) as exc:
         raise IntegrityViolation(
@@ -822,7 +936,7 @@ class SealedSegment:
     __slots__ = (
         "source", "base_digest", "base_count", "count", "head",
         "index", "_canonicals", "_digests", "_memo", "_contexts", "path",
-        "header_digest", "_verified_key", "_digest_col", "_layout",
+        "header_digest", "_verified_key", "_layout",
     )
 
     def __init__(
@@ -831,7 +945,7 @@ class SealedSegment:
         base_digest: str,
         base_count: int,
         canonicals: List[str],
-        digests: List[str],
+        digests: bytes,
         index: SegmentIndex,
         contexts: Dict[str, str],
         memo: Dict[int, AuditRecord],
@@ -839,11 +953,13 @@ class SealedSegment:
         self.source = source
         self.base_digest = base_digest
         self.base_count = base_count
-        self.count = len(digests)
-        self.head = digests[-1]
+        self.count = len(canonicals)
+        self.head = digests[-_RAW_BYTES:].hex()
         self.index = index
         self._canonicals: Optional[List[str]] = canonicals
-        self._digests: Optional[List[str]] = digests
+        #: The packed chain digests: the tail's, moved over at seal;
+        #: once cold, the file's, read by the first :meth:`digest_at`.
+        self._digests: Optional[bytes] = digests
         self._memo = memo
         #: The context-table entries the records name: the spill
         #: header's table at demote.
@@ -857,8 +973,6 @@ class SealedSegment:
         #: file's stat fingerprint.  ``None`` means "never verified (or
         #: invalidated) — re-verify in every mode".
         self._verified_key: Optional[Tuple] = None
-        #: The cold file's digest column, loaded by the first probe.
-        self._digest_col: Optional[List[str]] = None
         #: Cached (data_start, stride, context table) of the spill file.
         self._layout: Optional[Tuple[int, int, Dict]] = None
 
@@ -883,16 +997,26 @@ class SealedSegment:
         """(canonical, digest) pairs, verbatim: from the lists when hot,
         from the spill file when cold."""
         if self._canonicals is not None:
-            return list(zip(self._canonicals, self._digests))
+            return list(zip(self._canonicals, _hexes(self._digests)))
         return read_spill(self.path)[1]
 
     def records(self) -> List[AuditRecord]:
         """The segment's records, decoded from their stored strings."""
         return self.records_at(range(self.count))
 
+    def candidates(
+        self,
+        actor: Optional[str] = None,
+        subject: Optional[str] = None,
+        entity: Optional[str] = None,
+    ) -> Optional[List[int]]:
+        """The index's posting-list offsets for the filter, or None
+        (read the whole segment); see :meth:`SegmentIndex.candidates`."""
+        return self.index.candidates(actor, subject, entity)
+
     def records_at(self, offsets: Iterable[int]) -> List[AuditRecord]:
         """The records at ``offsets`` (segment-relative, e.g. from
-        :meth:`SegmentIndex.candidates`).
+        :meth:`candidates`).
 
         Hot: decoded through the memo.  Cold: only the named
         fixed-stride slots are read, through ``mmap`` — no whole-file
@@ -950,19 +1074,19 @@ class SealedSegment:
     def digest_at(self, position: int) -> Optional[str]:
         """Chain digest at absolute ``position``.
 
-        Hot: a list lookup.  Cold: the first probe reads the digest
-        column through ``mmap`` and later probes answer from memory.
+        Hot: a lookup in the packed column.  Cold: the first probe
+        reads the file's digest column through ``mmap`` and packs it,
+        and later probes answer from memory.
         """
         if position < self.base_count or position > self.total:
             return None
         if position == self.base_count:
             return self.base_digest
-        offset = position - self.base_count - 1
-        if self._digests is not None:
-            return self._digests[offset]
-        if self._digest_col is None:
-            self._digest_col = [d for __, d in self._slots(range(self.count))]
-        return self._digest_col[offset]
+        if self._digests is None:
+            self._digests = _pack(
+                [d for __, d in self._slots(range(self.count))]
+            )
+        return _hex_at(self._digests, position - self.base_count - 1)
 
     def _spill_layout(self) -> Tuple[int, int, Dict]:
         """(data_start, stride, context table) of the cold file, cached.
@@ -1058,7 +1182,6 @@ class SealedSegment:
         self._contexts = None
         # Fresh on-disk identity: no probe caches, no watermark — the
         # file has never been deep-checked in its cold form.
-        self._digest_col = None
         self._layout = None
         self._verified_key = None
         return size
@@ -1081,16 +1204,11 @@ class SealedSegment:
         else:
             what, lead, entries = "cold segment", *self._read_committed()
             canonicals = [c for c, __ in entries]
-            digests = [d for __, d in entries]
-        hashed = _verify_strings(
+            digests = _pack([d for __, d in entries])
+        return lead + _verify_strings(
             f"{what} {self.source!r}", self.base_digest, self.base_count,
-            canonicals, digests, self._memo,
+            canonicals, digests, self._memo, self.head,
         )
-        if (digests[-1] if digests else self.base_digest) != self.head:
-            raise IntegrityViolation(
-                f"{what} {self.source!r} head mismatch after replay"
-            )
-        return lead + hashed
 
     def _read_committed(self) -> Tuple[int, List[Tuple[str, str]]]:
         """The cold file's header length and entries, read whole and
@@ -1137,7 +1255,6 @@ class SealedSegment:
         # Any rebase invalidates the verified watermark and the cold
         # probe caches: anchors move, and a cold file is rewritten.
         self._verified_key = None
-        self._digest_col = None
         self._layout = None
         retained = entries[keep_from:]
         self.base_digest = entries[keep_from - 1][1]
@@ -1147,11 +1264,12 @@ class SealedSegment:
             AuditRecord.from_canonical(c) for c, __ in retained
         ).index()
         if self._canonicals is not None:
-            self._canonicals = [c for c, __ in retained]
-            self._digests = [d for __, d in retained]
+            self._canonicals = self._canonicals[keep_from:]
+            self._digests = self._digests[keep_from * _RAW_BYTES:]
             __, self._memo = _split_memo(self._memo, keep_from)
             self._contexts = contexts
             return keep_from
+        self._digests = None
         __, self.header_digest = write_spill(
             self.path, self.source, self.base_digest, self.base_count,
             self.head, retained, self.index, contexts,

@@ -14,8 +14,7 @@ this repository's benchmarks the direct check beats a value-keyed cache
 on the allow path, and every denial is explained afresh because the
 enforcing site audits ``decision.reason`` anyway (``docs/decision_plane.md``).
 What the plane adds is **audit emission**: it forwards flow outcomes to
-its site's audit log, so buffered/batched audit policy lives in one
-place.
+its site's audit sink.
 
 Evaluations across tag vocabularies (a peer's or another process's
 numbering) remap the foreign masks through the wire plane's
@@ -99,8 +98,3 @@ class DecisionPlane:
         """Record a denied flow (no-op when the plane has no log)."""
         if self.audit is not None:
             self.audit.flow_denied(actor, subject, reason, source, target)
-
-    def flush(self) -> None:
-        """Flush any buffered audit appends (see ``AuditLog.flush``)."""
-        if self.audit is not None:
-            self.audit.flush()

@@ -272,29 +272,6 @@ class MessageBus:
         message.sent_at = self._clock()
         return self.route(source, endpoint_name, message)
 
-    def publish_batch(
-        self, source: Component, endpoint_name: str, batch: List[Dict]
-    ) -> DeliveryReport:
-        """Publish many messages from one endpoint: a :meth:`publish`
-        per entry, then one audit flush, so the chain hashing of the
-        batch's records runs in one chunk (see ``AuditLog.flush``).
-
-        ``batch`` is a list of attribute-value mappings, one per message,
-        as would be passed to :meth:`publish` as keyword arguments.
-        Returns one aggregated :class:`DeliveryReport`.  An unknown
-        ``endpoint_name`` raises even for an empty batch.
-        """
-        source.endpoint(endpoint_name)
-        report = DeliveryReport()
-        for values in batch:
-            sub = self.publish(source, endpoint_name, **values)
-            report.sent += sub.sent
-            report.delivered += sub.delivered
-            report.denied += sub.denied
-            report.quenched_attributes += sub.quenched_attributes
-        self.plane.flush()
-        return report
-
     def route(
         self, source: Component, endpoint_name: str, message: Message
     ) -> DeliveryReport:

@@ -150,8 +150,11 @@ CTX = SecurityContext.of(["medical", "ann"], ["hosp-dev"])
 
 def _log_record(tmp_path):
     log = AuditLog()
-    records = [log.flow_allowed(f"a{i}", "b", CTX, CTX) for i in range(6)]
-    return log, records[3]
+    appended = [log.flow_allowed(f"a{i}", "b", CTX, CTX) for i in range(6)]
+    # Editing what append returned changes no stored record.
+    object.__setattr__(appended[3], "actor", "mallory")
+    assert log.verify() and log.records()[3].actor == "a3"
+    return log, log.records()[3]
 
 
 def _spine(tmp_path):

@@ -35,8 +35,14 @@ class TestAppendVerify:
             audit.verify_strict()
 
     def test_tampering_with_detail_detected(self, audit):
-        record = audit.flow_denied("a", "b", "secret reason")
-        record.detail["reason"] = "innocuous reason"
+        appended = audit.flow_denied("a", "b", "secret reason")
+        # The appended object is the caller's: editing it changes no
+        # stored record, and the chain still verifies.
+        appended.detail["reason"] = "edited copy"
+        assert audit.records()[0].detail["reason"] == "secret reason"
+        assert audit.verify()
+        # A record a read handed out is held to the stored string.
+        audit.records()[0].detail["reason"] = "innocuous reason"
         assert not audit.verify()
 
     def test_clock_stamps_records(self, sim):
@@ -133,6 +139,52 @@ class TestPruneAndExport:
         exported = audit.export()
         assert len(exported) == 2
         assert exported[1]["digest"] == audit.head_digest
+
+
+def _fill(log, n, t0=0.0):
+    for i in range(n):
+        log._clock = (lambda ts: (lambda: ts))(t0 + i)
+        log.append(RecordKind.FLOW_ALLOWED, f"actor{i}", "subject")
+
+
+class TestPruneInterleave:
+    """Prunes interleaved with appends keep the retained suffix
+    authenticated and the numbering continuous."""
+
+    def test_prune_then_verify(self):
+        log = AuditLog()
+        _fill(log, 10, t0=0.0)
+        assert log.prune_before(5.0) == 5
+        assert len(log) == 5
+        assert log.verify()
+
+    def test_append_prune_append_interleave(self):
+        log = AuditLog()
+        _fill(log, 6, t0=0.0)
+        log.prune_before(3.0)
+        _fill(log, 6, t0=10.0)
+        log.prune_before(12.0)
+        assert log.verify()
+        # seq numbering stays continuous across prunes
+        assert [r.seq for r in log] == list(range(8, 12))
+
+    def test_pruned_chain_base_is_real_digest(self):
+        log = AuditLog()
+        _fill(log, 4, t0=0.0)
+        second = log.export()[1]["digest"]
+        log.prune_before(2.0)
+        # The retained suffix chains from the last pruned digest.
+        assert log._chain.base_digest == second
+        assert log.verify()
+
+    def test_export_after_prune_interleave(self):
+        log = AuditLog()
+        _fill(log, 4, t0=0.0)
+        log.prune_before(1.0)
+        _fill(log, 2, t0=5.0)
+        exported = log.export()
+        assert len(exported) == 5
+        assert exported[-1]["digest"] == log.head_digest
 
 
 def _context_reference(ctx):

@@ -121,10 +121,14 @@ class TestSegmentsAndVerify:
         for i in range(5):
             bus.flow_allowed(f"a{i}", "b")
         spine.checkpoint()
-        # Truncate the segment behind the spine's back (not via prune).
+        # Truncate the segment behind the spine's back (not via prune):
+        # its last string, packed digest and head together, so the
+        # segment itself still replays and only the checkpoint can tell.
         seg = spine.segment("bus")
         seg.canonicals.pop()
-        seg.digests.pop()
+        del seg.digests[-32:]
+        seg.head = seg.digests[-32:].hex()
+        seg.verify()
         assert not spine.verify()
 
     def test_checkpoint_chain_itself_is_tamper_evident(self):

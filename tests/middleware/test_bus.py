@@ -241,6 +241,43 @@ class TestDelivery:
         assert report.quenched_attributes == 1
         assert "name" not in received[0].values
 
+    def test_channel_suspended_mid_run_stops_delivery(self, bus, reading_type):
+        """A handler that raises the sender's secrecy during a run of
+        publishes suspends the channels; the rest of the run must not
+        be delivered."""
+        from repro.ifc import PrivilegeSet
+
+        ctx = SecurityContext.public()
+        sensor = Component(
+            "sensor", ctx, owner="ann",
+            privileges=PrivilegeSet.of(add_secrecy=["spike"]),
+        )
+        sensor.add_endpoint("out", EndpointKind.SOURCE, reading_type)
+        bus.register(sensor)
+        seen = []
+
+        def spike_once(component, endpoint, message):
+            seen.append(message.values["value"])
+            if len(seen) == 1:
+                # Public sinks can no longer accept: every channel
+                # suspends at once.
+                sensor.add_secrecy("spike")
+
+        for i in range(2):
+            sink = Component(f"sink{i}", ctx, owner="ann")
+            sink.add_endpoint("in", EndpointKind.SINK, reading_type,
+                              handler=spike_once if i == 0 else None)
+            bus.register(sink)
+            bus.connect("ann", sensor, "out", sink, "in")
+
+        delivered = sum(
+            bus.publish(sensor, "out", value=float(i)).delivered
+            for i in range(5)
+        )
+        assert seen == [0.0]
+        assert delivered == 1
+        assert all(not c.active for c in bus.channels)
+
 
 class TestChannelCompaction:
     """Torn-down channels must leave the scan list (unbounded growth and
@@ -352,8 +389,8 @@ class TestChannelCompaction:
         self, bus, reading_type, ann_device
     ):
         """Suspended channels stay indexed: on resume they deliver in
-        connect order again, for publish and publish_batch alike, and
-        one resumed mid-batch carries the rest of the batch."""
+        connect order again, and one resumed during a run of publishes
+        carries the rest of the run."""
         from repro.ifc import PrivilegeSet
 
         both = PrivilegeSet.of(add_secrecy=["extra"], remove_secrecy=["extra"])
@@ -382,10 +419,10 @@ class TestChannelCompaction:
         a.remove_secrecy("extra")  # resumes in its old place
         order.clear()
         bus.publish(a, "out", value=1.0)
-        bus.publish_batch(a, "out", [{"value": 2.0}])
+        bus.publish(a, "out", value=2.0)
         assert order == ["s0", "s1", "s2"] * 2
 
-        # Suspend again, then let s0's handler clear s1 mid-batch.
+        # Suspend again, then let s0's handler clear s1 mid-run.
         a.add_secrecy("extra")
         order.clear()
 
@@ -395,7 +432,8 @@ class TestChannelCompaction:
                 s1.add_secrecy("extra")
 
         s0.endpoints["in"].handler = clear_s1
-        bus.publish_batch(a, "out", [{"value": 3.0}] * 2)
+        for __ in range(2):
+            bus.publish(a, "out", value=3.0)
         assert order == ["s0", "s1", "s2"] * 2
 
     def test_connect_teardown_churn_leaves_route_index_empty(
@@ -432,8 +470,8 @@ class TestChannelCompaction:
     def test_mid_batch_teardown_keeps_later_messages_flowing(
         self, bus, reading_type, ann_device
     ):
-        """publish_batch: a handler disconnecting its own channel on the
-        first message must stop deliveries to it without disturbing the
+        """A handler disconnecting its own channel on the first of a run
+        of publishes must stop deliveries to it without disturbing the
         other channel's remaining messages."""
         a = bus.register(make_component("a", ann_device, reading_type, owner="op"))
         seen = {"keep": 0, "drop": 0}
@@ -456,8 +494,10 @@ class TestChannelCompaction:
         bus.register(drop)
         drop_channel = bus.connect("op", a, "out", drop, "in")
 
-        report = bus.publish_batch(a, "out", [{"value": float(i)} for i in range(5)])
+        delivered = sum(
+            bus.publish(a, "out", value=float(i)).delivered for i in range(5)
+        )
         assert seen["keep"] == 5
         assert seen["drop"] == 1
-        assert report.delivered == 6
+        assert delivered == 6
         assert drop_channel not in bus.channels

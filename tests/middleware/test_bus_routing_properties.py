@@ -5,8 +5,7 @@ delivers.
 Hypothesis writes a script of connects, teardowns, relabels (which
 suspend and resume channels), deregistrations, and one-shot handler
 actions that connect, tear down, relabel or publish from inside a
-delivery.  The script interleaves ``publish``, ``publish_batch`` and
-``route`` calls and is played once on each bus.  The delivered (sink,
+delivery.  The script interleaves ``publish`` and ``route`` calls and is played once on each bus.  The delivered (sink,
 endpoint, message) sequence, every ``DeliveryReport``, and the audit
 trail's record kinds must be equal.  After every top-level step the
 index must also hold exactly the bus's live channels, grouped by source
@@ -46,9 +45,6 @@ teardown = st.tuples(st.just("teardown"), st.integers(0, 30))
 relabel = st.tuples(st.just("relabel"), component_ix)
 deregister = st.tuples(st.just("deregister"), component_ix)
 publish = st.tuples(st.just("publish"), source_ix, endpoint, st.booleans())
-batch = st.tuples(
-    st.just("batch"), source_ix, endpoint, st.integers(0, 4), st.booleans()
-)
 route = st.tuples(st.just("route"), source_ix, endpoint)
 # Handler-only: connect from, or tear down a channel of, the endpoint
 # whose route is delivering right now.
@@ -61,7 +57,7 @@ handler_action = st.one_of(
 )
 arm = st.tuples(st.just("arm"), sink_ix, handler_action)
 step = st.one_of(
-    connect, connect, teardown, relabel, deregister, publish, batch, route,
+    connect, connect, teardown, relabel, deregister, publish, publish, route,
     arm, arm,
 )
 
@@ -148,10 +144,6 @@ def play(bus_cls, mode, secret, script):
         elif kind == "publish":
             __, s, ep, note = op
             routed(s, ep, lambda: bus.publish(sources[s], ep, **values(note)))
-        elif kind == "batch":
-            __, s, ep, n, note = op
-            routed(s, ep, lambda: bus.publish_batch(
-                sources[s], ep, [values(note)] * n))
         elif kind == "route":
             __, s, ep = op
             message = sources[s].make_message(ep, value=2.0)
@@ -193,14 +185,15 @@ def check_index(bus):
     wiring=st.lists(connect, min_size=3, max_size=10),
     steps=st.lists(step, min_size=10, max_size=40),
 )
-# A channel suspended when the batch plan is built resumes mid-batch
-# (sink0's handler relabels sink1) and must carry the rest of the batch.
+# A channel suspended at the start of a run of publishes resumes mid-run
+# (sink0's handler relabels sink1) and must carry the rest of the run.
 @example(
     mode=EnforcementMode.AC_AND_IFC,
     secret=[False, False, True, False, False],
     wiring=[("connect", 0, "out", 0), ("connect", 0, "out", 1)],
     steps=[("relabel", 0), ("arm", 0, ("relabel", 3)),
-           ("batch", 0, "out", 3, False)],
+           ("publish", 0, "out", False), ("publish", 0, "out", False),
+           ("publish", 0, "out", False)],
 )
 def test_route_index_delivers_what_the_scan_delivers(
     mode, secret, wiring, steps

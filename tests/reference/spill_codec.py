@@ -17,7 +17,7 @@ import hashlib
 import json
 from typing import Dict, Iterable, List, Set, Tuple
 
-from repro.audit.log import _DIGEST_BYTES
+from repro.audit.storage import _DIGEST_BYTES
 from repro.audit.records import AuditRecord, _context_tags
 from repro.audit.storage import _LEN, SegmentIndex, _align16
 from repro.ifc import SecurityContext
