@@ -1,9 +1,6 @@
 """Tiered segment storage for the audit plane (``docs/audit_storage.md``).
 
-The spine used to keep every drained record in one ever-growing Python
-list per source; ``prune_before`` was the only relief, and legal
-retention obligations fought auditability (pruning destroys the trail).
-This module is the storage layer behind the spine now, following the
+This module is the storage layer behind the spine, following the
 hot/cold tiering pattern of patient-monitoring stacks (a hot store for
 "the last hour of vitals", a cold store for long-term analytics):
 
@@ -13,21 +10,22 @@ hot/cold tiering pattern of patient-monitoring stacks (a hot store for
   record, and gathers the seal-time index material (postings, kinds,
   contexts, time and seq bounds) as records chain.
 * **Seal** — when the tail reaches ``seal_every`` records it is sealed
-  into an immutable :class:`SealedSegment`: the strings and digests
-  move over unchanged, a compact :class:`SegmentIndex` (time bounds,
-  actors, subjects, kinds, tags) is built from the tail's columns, and
-  the source continues in a fresh tail whose chain base is the sealed
-  head — the chain is continuous across seals.
-* **Demote** — sealed segments beyond the ``hot_segments`` newest are
-  spilled to disk in a fixed-stride, mmap-able record format (header +
-  the strings and chain digests verbatim) and the in-memory strings are
-  dropped.  Only the segment's base/head digests, counts and index stay
-  resident, so ``verify()`` still holds the file to the digests the
-  live process committed to.
+  into an immutable :class:`SealedSegment`: a compact
+  :class:`SegmentIndex` (time bounds, actors, subjects, kinds, tags) is
+  built from the tail's columns, the strings and digests are laid out
+  once as the segment's spill image (the format below), and the source
+  continues in a fresh tail whose chain base is the sealed head — the
+  chain is continuous across seals.
+* **Demote** — sealed segments beyond the ``hot_segments`` newest write
+  the image they hold to disk and drop it.  Hot and cold are two places
+  for one set of bytes: only the segment's base/head digests, counts,
+  index and the header digest committed at seal stay resident, so
+  ``verify()`` holds the file to the digests the live process committed
+  to, exactly as it holds a hot image.
 
 Reads decode the stored strings (``AuditRecord.from_canonical``); a hot
-chunk's memo keeps each record decoded at most once, and ``verify()``
-replays the strings and re-serialises every memoised record against its
+segment's memo keeps each record decoded at most once, and ``verify()``
+replays the image and re-serialises every memoised record against its
 string.  Everything that *observes* the chain — ``verify()``,
 ``export()``, checkpoint receipts, federation pinboard verdicts — reads
 identically whether a segment is hot or spilled; :class:`~repro.audit.
@@ -51,20 +49,19 @@ A canonical record names each security context by reference (the
 sha256 hex of the context's JSON); the header's ``contexts`` maps
 exactly the references the file's records name to that JSON, so the
 file decodes and verifies alone.  Readers check each entry against its
-key, admit only entries the slots they decode name, and refuse any
-other magic or version (a ``RAUDSEG1`` file included) with
+key, admit only entries the image's slots name, and refuse any other
+magic or version (a ``RAUDSEG1`` file included) with
 :class:`~repro.errors.IntegrityViolation`.
 
-Fixed stride means record ``i`` is one pointer computation away under
-``mmap`` — no scan to seek, which is what lets cold queries touch only
-the slots a segment index proved relevant.
+Fixed stride means record ``i`` is one pointer computation away in the
+image, hot or cold — no scan to seek, which is what lets queries decode
+only the slots a segment index proved relevant.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import mmap
 import os
 import re
 import struct
@@ -75,8 +72,8 @@ from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 from typing import (
-    AbstractSet, Callable, Dict, Iterable, List, Optional, Sequence, Set,
-    Tuple,
+    AbstractSet, Callable, Dict, Iterable, List, Optional, Sequence,
+    Set, Tuple,
 )
 
 from repro.audit.records import (
@@ -120,6 +117,12 @@ _RAW_BYTES = 32
 _REPLAY_BLOCK = 4096
 
 
+#: What a replay found: ``(bytes hashed, first mismatching link or
+#: None, last digest, first memoised record that no longer serialises
+#: to its string or None)``.
+Replay = Tuple[int, Optional[int], str, Optional[int]]
+
+
 def chain_digest(previous: str, canonical: str) -> bytes:
     """Extend a hash chain by one record: the raw sha256 of the previous
     hex digest followed by the record's canonical serialisation (the
@@ -128,16 +131,21 @@ def chain_digest(previous: str, canonical: str) -> bytes:
 
 
 def replay_chain(
-    base: str, canonicals: Sequence[str], packed: bytes
-) -> Tuple[int, Optional[int]]:
-    """The one verify loop: re-hash ``canonicals`` from ``base`` and hold
-    the links to the stored digests in ``packed`` (raw digests, one per
-    record), compared a block of :data:`_REPLAY_BLOCK` links at a time.
+    base: str,
+    canonicals: Sequence[str],
+    packed: bytes,
+    memo: Dict[int, AuditRecord],
+) -> Replay:
+    """The verify loop over an open chain's strings (a sealed image
+    replays its slots in :meth:`SpillImage.replay`): re-hash
+    ``canonicals`` from ``base`` and hold the links to the stored
+    digests in ``packed`` (raw digests, one per record), compared a
+    block of :data:`_REPLAY_BLOCK` links at a time, then hold every
+    record in ``memo`` (those a read handed out) to its string.
 
-    Returns ``(bytes hashed, first mismatching position or None)``,
-    counting each record's canonical plus its digest as written out.  A
-    digest column longer or shorter than the strings mismatches at the
-    first record one of them lacks.
+    Returns a :data:`Replay`, counting each record's canonical plus its
+    digest as written out.  A digest column longer or shorter than the
+    strings mismatches at the first record one of them lacks.
     """
     hashed = sum(map(len, canonicals)) + _DIGEST_BYTES * len(canonicals)
     digest = base
@@ -152,10 +160,13 @@ def replay_chain(
         if replayed != stored:
             for i in range(0, len(replayed), _RAW_BYTES):
                 if replayed[i:i + _RAW_BYTES] != stored[i:i + _RAW_BYTES]:
-                    return hashed, start + i // _RAW_BYTES
+                    return hashed, start + i // _RAW_BYTES, digest, None
     if len(packed) != _RAW_BYTES * len(canonicals):
-        return hashed, len(canonicals)
-    return hashed, None
+        return hashed, len(canonicals), digest, None
+    altered = (
+        i for i, record in memo.items() if record.canonical() != canonicals[i]
+    )
+    return hashed, None, digest, next(altered, None)
 
 
 def _hex_at(packed: bytes, offset: int) -> str:
@@ -169,22 +180,6 @@ def _hexes(packed: bytes) -> List[str]:
         packed[at:at + _RAW_BYTES].hex()
         for at in range(0, len(packed), _RAW_BYTES)
     ]
-
-
-def _pack(hexes: List[str]) -> bytes:
-    """Hex digests read from a spill file, packed.  Only lowercase
-    sha256 hex packs: anything else in a digest slot is an integrity
-    violation, as it was when the text itself was compared."""
-    joined = "".join(hexes)
-    try:
-        packed = bytes.fromhex(joined)
-    except ValueError:
-        packed = b""
-    if len(packed) != _RAW_BYTES * len(hexes) or packed.hex() != joined:
-        raise IntegrityViolation(
-            "a spill slot's chain digest is not a sha256 hex digest"
-        )
-    return packed
 
 
 def _segment_genesis(spine_name: str, source: str) -> str:
@@ -345,44 +340,41 @@ def _split_memo(
 
 
 def _decoded(
-    canonicals: List[str], memo: Dict[int, AuditRecord], offsets: Iterable[int]
+    canonical_at: Callable[[int], str],
+    memo: Dict[int, AuditRecord],
+    offsets: Iterable[int],
 ) -> List[AuditRecord]:
-    """The records at ``offsets``, each decoded at most once per chunk:
-    the memo keeps what it decoded until the chunk is demoted."""
+    """The records at ``offsets``, each decoded at most once per memo:
+    a hot chunk's memo keeps what it decoded until the chunk is
+    demoted."""
     result = []
     for i in offsets:
         record = memo.get(i)
         if record is None:
-            record = memo[i] = AuditRecord.from_canonical(canonicals[i])
+            record = memo[i] = AuditRecord.from_canonical(canonical_at(i))
         result.append(record)
     return result
 
 
-def _verify_strings(
-    what: str,
-    base_digest: str,
-    base_count: int,
-    canonicals: Sequence[str],
-    digests: bytes,
-    memo: Dict[int, AuditRecord],
-    head: str,
+def _check_replay(
+    what: str, base_count: int, replayed: Replay, head: str
 ) -> int:
-    """Replay a chunk's stored strings from its base to ``head``, then
-    hold every record a read was handed (the memo) to the string it
-    came from.  Returns the digest-material bytes re-hashed."""
-    hashed, bad = replay_chain(base_digest, canonicals, digests)
+    """Raise unless a chunk's replay found every link intact, ended on
+    ``head``, and found every record a read was handed still
+    serialising to the string it came from.  Returns the bytes
+    hashed."""
+    hashed, bad, last, altered = replayed
     if bad is not None:
         raise IntegrityViolation(
             f"{what} chain broken at record {base_count + bad}"
         )
-    if (digests[-_RAW_BYTES:].hex() if digests else base_digest) != head:
+    if last != head:
         raise IntegrityViolation(f"{what} head mismatch after replay")
-    for i, record in memo.items():
-        if record.canonical() != canonicals[i]:
-            raise IntegrityViolation(
-                f"{what}: record {base_count + i} was altered after a "
-                f"read returned it"
-            )
+    if altered is not None:
+        raise IntegrityViolation(
+            f"{what}: record {base_count + altered} was altered after a "
+            f"read returned it"
+        )
     return hashed
 
 
@@ -464,11 +456,11 @@ class AuditSegment:
 
     def records(self) -> List[AuditRecord]:
         """Every retained record, oldest first."""
-        return _decoded(self.canonicals, self._memo, range(self.count))
+        return self.records_at(range(self.count))
 
     def records_at(self, offsets: Iterable[int]) -> List[AuditRecord]:
         """The records at ``offsets`` (e.g. from :meth:`candidates`)."""
-        return _decoded(self.canonicals, self._memo, offsets)
+        return _decoded(self.canonicals.__getitem__, self._memo, offsets)
 
     def verify(self) -> int:
         """Recompute the whole retained chain, raising on mismatch.
@@ -476,9 +468,12 @@ class AuditSegment:
         Returns the number of digest-material bytes re-hashed (the
         verification plane's accounting currency).
         """
-        return _verify_strings(
-            f"segment {self.source!r}", self.base_digest, self.base_count,
-            self.canonicals, self.digests, self._memo, self.head,
+        return _check_replay(
+            f"segment {self.source!r}", self.base_count,
+            replay_chain(
+                self.base_digest, self.canonicals, self.digests, self._memo
+            ),
+            self.head,
         )
 
     def age_prefix(self, timestamp: float) -> int:
@@ -500,14 +495,19 @@ class AuditSegment:
 
     def seal(self, k: int) -> "SealedSegment":
         """Move the first ``k`` records into a hot sealed segment: their
-        strings, digests and memo entries unchanged, their index built
-        from the columns.  The tail rebases onto the sealed head."""
+        strings and digests laid out once as its image, their memo
+        entries unchanged, their index built from the columns.  The
+        tail rebases onto the sealed head."""
         index, contexts = self.columns.split(k).index()
         memo, __ = _split_memo(self._memo, k)
+        digests = _hexes(self.digests[:k * _RAW_BYTES])
+        image = build_spill(
+            self.source, self.base_digest, self.base_count, digests[-1],
+            zip(self.canonicals, digests), index, contexts,
+        )
         chunk = SealedSegment(
-            self.source, self.base_digest, self.base_count,
-            self.canonicals[:k], self.digests[:k * _RAW_BYTES], index,
-            contexts, memo,
+            self.source, self.base_digest, self.base_count, image, index,
+            memo,
         )
         self._rebase(k)
         return chunk
@@ -722,35 +722,166 @@ class SegmentIndex:
 # -- the fixed-stride spill codec -------------------------------------------
 
 _LEN = struct.Struct("<I")
+#: A slot's bytes before its canonical: the length, then the digest.
+_SLOT_LEAD = _LEN.size + _DIGEST_BYTES
 
 
 def _align16(n: int) -> int:
     return (n + 15) & ~15
 
 
-def write_spill(
-    path: Path,
+def _corrupt(where, detail) -> IntegrityViolation:
+    return IntegrityViolation(f"{where}: corrupt spill segment ({detail})")
+
+
+class SpillImage:
+    """One ``RAUDSEG2`` image, parsed over its bytes: what a hot sealed
+    segment holds, or a spill file's contents.  The format's one reader.
+
+    Parsing checks the magic, the header (version 2 only; an integer
+    stride and count whose slots fit the buffer; string anchors) and
+    the header's context table, entry by entry against its keys,
+    admitting the entries the slots name; a slot read checks the slot's
+    length against the stride.  Anything malformed raises
+    :class:`IntegrityViolation`, never another exception.  ``where``
+    names the image in messages (a path, or a hot segment).
+    """
+
+    __slots__ = ("buf", "where", "header", "header_digest", "header_len",
+                 "data_start", "stride", "count")
+
+    def __init__(self, buf: bytes, where) -> None:
+        self.buf = buf
+        self.where = where
+        magic = buf[:len(SPILL_MAGIC)]
+        if magic != SPILL_MAGIC:
+            raise IntegrityViolation(
+                f"{where}: not a {SPILL_MAGIC.decode()} spill segment file "
+                f"(magic {bytes(magic)!r})"
+            )
+        lead = len(SPILL_MAGIC) + _LEN.size
+        try:
+            (length,) = _LEN.unpack_from(buf, len(SPILL_MAGIC))
+            raw = buf[lead:lead + length]
+            header = json.loads(raw)
+            version = header["version"]
+        except (struct.error, ValueError, KeyError, TypeError) as exc:
+            raise IntegrityViolation(
+                f"{where}: corrupt spill segment header ({exc})"
+            ) from exc
+        if version != SPILL_VERSION:
+            raise IntegrityViolation(
+                f"{where}: spill segment version {version!r}, this reader "
+                f"reads version {SPILL_VERSION} only"
+            )
+        self.header = header
+        self.header_digest = hashlib.sha256(raw).hexdigest()
+        self.header_len = len(raw)
+        self.data_start = _align16(lead + length)
+        self.stride = stride = header.get("stride")
+        self.count = count = header.get("count")
+        if not (
+            stride.__class__ is int and count.__class__ is int
+            and stride >= _SLOT_LEAD and count >= 0
+            and self.data_start + count * stride <= len(buf)
+            and header.get("base_digest").__class__ is str
+            and header.get("head").__class__ is str
+        ):
+            raise _corrupt(where, "the header's layout or anchors")
+        # The slots are read for the references they name only when the
+        # table offers an entry the process does not hold.
+        table = header.get("contexts")
+        if table.__class__ is not dict or any(
+            _CONTEXTS.get(ref) != text for ref, text in table.items()
+        ):
+            register_contexts(
+                table, named_contexts(map(self.canonical, range(count)))
+            )
+
+    def slot(self, i: int) -> Tuple[bytes, bytes]:
+        """Slot ``i``'s canonical bytes and stored hex digest."""
+        at = self.data_start + i * self.stride
+        (length,) = _LEN.unpack_from(self.buf, at)
+        if length > self.stride - _SLOT_LEAD:
+            raise _corrupt(
+                self.where, f"slot {i} length {length} exceeds the stride"
+            )
+        body = at + _SLOT_LEAD
+        return self.buf[body:body + length], self.buf[at + _LEN.size:body]
+
+    def _text(self, raw: bytes) -> str:
+        try:
+            return raw.decode()
+        except UnicodeDecodeError as exc:
+            raise _corrupt(self.where, exc) from exc
+
+    def canonical(self, i: int) -> str:
+        """Slot ``i``'s canonical record string."""
+        return self._text(self.slot(i)[0])
+
+    def entries(self) -> List[Tuple[str, str]]:
+        """Every (canonical, hex digest) pair, verbatim."""
+        return [
+            (self._text(canonical), self._text(digest))
+            for canonical, digest in map(self.slot, range(self.count))
+        ]
+
+    def digests(self) -> bytes:
+        """Every slot's chain digest, packed.  Only lowercase sha256 hex
+        packs: anything else in a digest slot is an integrity
+        violation."""
+        hexes = b"".join(d for __, d in map(self.slot, range(self.count)))
+        try:
+            packed = bytes.fromhex(hexes.decode())
+        except (UnicodeDecodeError, ValueError):
+            packed = b""
+        if packed.hex().encode() != hexes:
+            raise _corrupt(self.where, "a digest is not sha256 hex")
+        return packed
+
+    def replay(self, base: str, memo: Dict[int, AuditRecord]) -> Replay:
+        """Re-hash the slots from ``base``, holding each link to the
+        digest its slot stores and every record in ``memo`` to its
+        slot's bytes, in one pass (see :data:`Replay`).  A link hashes
+        the slot's bytes as stored, ``sha256(previous hex +
+        canonical)``, so no slot is decoded to replay it."""
+        digest = base.encode()
+        hashed = 0
+        altered = None
+        sha256 = hashlib.sha256
+        for i in range(self.count):
+            canonical, stored = self.slot(i)
+            digest = sha256(digest + canonical).hexdigest().encode()
+            hashed += len(canonical) + _DIGEST_BYTES
+            if digest != stored:
+                return hashed, i, digest.decode(), None
+            record = memo.get(i)
+            if record is not None and altered is None and (
+                record.canonical().encode() != canonical
+            ):
+                altered = i
+        return hashed, None, digest.decode(), altered
+
+
+def build_spill(
     source: str,
     base_digest: str,
     base_count: int,
     head: str,
-    entries: List[Tuple[str, str]],
+    entries: Iterable[Tuple[str, str]],
     index: SegmentIndex,
     contexts: Dict[str, str],
-) -> Tuple[int, str]:
-    """Write one sealed segment to ``path``.
+) -> SpillImage:
+    """One sealed segment's image (the format in the module docstring).
 
-    Returns ``(bytes written, header digest)`` — the writer keeps the
-    header digest *in memory* so that tampering with the on-disk header
-    (including the query index and the context table) is detected by
-    :meth:`SealedSegment.verify`, not just tampering with record slots.
-    ``entries`` are ``(canonical, digest)`` pairs — the digest material
-    and chain digests verbatim, never re-serialised; ``contexts`` are
-    the context-table entries they name (a seal gathers them as its
-    records chain).
+    ``entries`` are ``(canonical, hex digest)`` pairs — the digest
+    material and chain digests verbatim, never re-serialised;
+    ``contexts`` are the context-table entries they name (a seal
+    gathers them as its records chain).
     """
+    entries = list(entries)
     encoded = [c.encode() for c, __ in entries]
-    stride = _align16(_LEN.size + _DIGEST_BYTES + max(map(len, encoded)))
+    stride = _align16(_SLOT_LEAD + max(map(len, encoded)))
     header = json.dumps(
         {
             "version": SPILL_VERSION,
@@ -769,7 +900,7 @@ def write_spill(
     lead = len(SPILL_MAGIC) + _LEN.size + len(header)
     # The image is one join of per-slot parts; every slot is padded
     # to the stride from one run of zeros.
-    zeros = bytes(stride - _LEN.size - _DIGEST_BYTES)
+    zeros = bytes(stride - _SLOT_LEAD)
     parts = [
         SPILL_MAGIC, _LEN.pack(len(header)), header,
         bytes(_align16(lead) - lead),
@@ -780,113 +911,50 @@ def write_spill(
         append(digest.encode())
         append(canonical)
         append(zeros[len(canonical):])
-    image = b"".join(parts)
+    return SpillImage(b"".join(parts), f"image of segment {source!r}")
+
+
+def _write_atomic(path: Path, image: bytes) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_bytes(image)
     os.replace(tmp, path)
-    return len(image), hashlib.sha256(header).hexdigest()
 
 
-def _check_magic(magic: bytes, path: Path) -> None:
-    if magic != SPILL_MAGIC:
-        raise IntegrityViolation(
-            f"{path}: not a {SPILL_MAGIC.decode()} spill segment file "
-            f"(magic {bytes(magic)!r})"
-        )
+def write_spill(
+    path: Path,
+    source: str,
+    base_digest: str,
+    base_count: int,
+    head: str,
+    entries: List[Tuple[str, str]],
+    index: SegmentIndex,
+    contexts: Dict[str, str],
+) -> Tuple[int, str]:
+    """Write one sealed segment's image (:func:`build_spill`) to
+    ``path``.
 
-
-def _header(raw: bytes, path: Path) -> Dict:
-    """Parse a spill header: version 2 only.  Its context table is
-    admitted by whoever decodes slots (:func:`_admit`)."""
-    try:
-        header = json.loads(raw)
-        version = header["version"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise IntegrityViolation(
-            f"{path}: corrupt spill segment header ({exc})"
-        ) from exc
-    if version != SPILL_VERSION:
-        raise IntegrityViolation(
-            f"{path}: spill segment version {version!r}, this reader "
-            f"reads version {SPILL_VERSION} only"
-        )
-    return header
-
-
-def _admit(table: Dict, canonicals: Iterable[str]) -> None:
-    """Check a header's context table entry by entry and admit the
-    entries these slots name (the slots are read for their references
-    only when the table offers an entry the process does not hold)."""
-    held = table.__class__ is dict and all(
-        _CONTEXTS.get(ref) == text for ref, text in table.items()
+    Returns ``(bytes written, header digest)`` — a store keeps the
+    header digest *in memory* so that tampering with the on-disk header
+    (including the query index and the context table) is detected by
+    :meth:`SealedSegment.verify`, not just tampering with record slots.
+    """
+    image = build_spill(
+        source, base_digest, base_count, head, entries, index, contexts
     )
-    register_contexts(table, set() if held else named_contexts(canonicals))
-
-
-def read_spill_header_bytes(path: Path) -> bytes:
-    """The raw header bytes of a spill file (for digest checking)."""
-    with open(path, "rb") as fh:
-        _check_magic(fh.read(len(SPILL_MAGIC)), path)
-        try:
-            (header_len,) = _LEN.unpack(fh.read(_LEN.size))
-        except struct.error as exc:
-            raise IntegrityViolation(
-                f"{path}: truncated spill segment header"
-            ) from exc
-        return fh.read(header_len)
+    _write_atomic(path, image.buf)
+    return len(image.buf), image.header_digest
 
 
 def read_spill_header(path: Path) -> Dict:
-    """Parse only the header of a spill file."""
-    return _header(read_spill_header_bytes(path), path)
+    """The parsed header of a spill file."""
+    return SpillImage(Path(path).read_bytes(), path).header
 
 
 def read_spill(path: Path) -> Tuple[Dict, List[Tuple[str, str]]]:
-    """Read a spill file back as (header, [(canonical, digest), ...])."""
-    __, header, entries = read_spill_full(path)
-    return header, entries
-
-
-def read_spill_full(path: Path) -> Tuple[bytes, Dict, List[Tuple[str, str]]]:
-    """One-open read of a whole spill file:
-    ``(raw header bytes, parsed header, entries)``, the table entries
-    the slots name admitted.
-
-    Deep verification needs the raw header bytes (for the committed
-    header digest) *and* every record slot; the file is read once with
-    a single ``read()`` instead of an open per concern.
-    """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    _check_magic(blob[: len(SPILL_MAGIC)], path)
-    try:
-        (header_len,) = _LEN.unpack(
-            blob[len(SPILL_MAGIC):len(SPILL_MAGIC) + _LEN.size]
-        )
-        header_end = len(SPILL_MAGIC) + _LEN.size + header_len
-        raw_header = blob[len(SPILL_MAGIC) + _LEN.size:header_end]
-        header = _header(raw_header, path)
-        stride = header["stride"]
-        data_start = _align16(header_end)
-        entries: List[Tuple[str, str]] = []
-        for i in range(header["count"]):
-            slot = data_start + i * stride
-            (length,) = _LEN.unpack(blob[slot:slot + _LEN.size])
-            digest = blob[
-                slot + _LEN.size:slot + _LEN.size + _DIGEST_BYTES
-            ].decode()
-            body = slot + _LEN.size + _DIGEST_BYTES
-            entries.append((blob[body:body + length].decode(), digest))
-    except (UnicodeDecodeError, ValueError, KeyError, TypeError,
-            struct.error) as exc:
-        # A doctored file can corrupt lengths, the header JSON or
-        # the canonical bytes themselves; every such failure is an
-        # integrity violation, not a crash.
-        raise IntegrityViolation(
-            f"{path}: corrupt spill segment ({exc})"
-        ) from exc
-    _admit(header.get("contexts"), (c for c, __ in entries))
-    return raw_header, header, entries
+    """Read a spill file back as (header, [(canonical, digest), ...]),
+    the table entries the slots name admitted."""
+    image = SpillImage(Path(path).read_bytes(), path)
+    return image.header, image.entries()
 
 
 def load_spill(path: Path) -> List[AuditRecord]:
@@ -899,17 +967,11 @@ def load_spill(path: Path) -> List[AuditRecord]:
     Without the digests a live store committed to, this proves the
     file self-consistent, not that it is the file that store wrote.
     """
-    __, header, entries = read_spill_full(path)
-    try:
-        base, head = header["base_digest"], header["head"]
-        __, bad = replay_chain(
-            base, [c for c, __ in entries], _pack([d for __, d in entries])
-        )
-    except (KeyError, TypeError) as exc:
-        raise IntegrityViolation(
-            f"{path}: corrupt spill segment ({exc})"
-        ) from exc
-    if bad is not None or (entries[-1][1] if entries else base) != head:
+    image = SpillImage(Path(path).read_bytes(), path)
+    entries = image.entries()
+    header = image.header
+    __, bad, last, __ = image.replay(header["base_digest"], {})
+    if bad is not None or last != header["head"]:
         raise IntegrityViolation(f"{path}: spill segment chain broken")
     if set(header["contexts"]) != named_contexts(c for c, __ in entries):
         raise IntegrityViolation(
@@ -922,21 +984,23 @@ def load_spill(path: Path) -> List[AuditRecord]:
 class SealedSegment:
     """An immutable, index-carrying chunk of one source's chain.
 
-    Sealed segments are the unit of tiering.  A *hot* one holds the
-    canonical strings and digests its tail hashed, moved over at seal
-    unchanged, plus a decode memo like the tail's.  A *cold* one holds
-    only chain anchors (base and head digest, absolute positions) plus
-    the :class:`SegmentIndex`, with the same strings in a spill file.
-    Every read takes strings from the list or from the ``mmap``.  The
-    anchors held in memory are what the live process committed to — a
-    cold file that disagrees with them fails :meth:`verify` exactly like
-    an in-memory mutation.
+    Sealed segments are the unit of tiering, and a sealed segment is
+    its spill image (:class:`SpillImage`), built once at seal.  A *hot*
+    one holds the image in memory, with a decode memo like the tail's;
+    a *cold* one holds the path of the file :meth:`demote` wrote the
+    same bytes to.  Either way the segment keeps its chain anchors (base
+    and head digest, absolute positions), the :class:`SegmentIndex`,
+    the header digest committed at seal and, once a probe asked, the
+    packed chain digests.  Only :meth:`_open` knows the tier: every read
+    parses the image it returns.  The anchors held in memory are what
+    the live process committed to — an image that disagrees with them
+    fails :meth:`verify`, hot or cold.
     """
 
     __slots__ = (
-        "source", "base_digest", "base_count", "count", "head",
-        "index", "_canonicals", "_digests", "_memo", "_contexts", "path",
-        "header_digest", "_verified_key", "_layout",
+        "source", "base_digest", "base_count", "count", "head", "index",
+        "header_digest", "path", "_image", "_digests", "_memo",
+        "_verified_key",
     )
 
     def __init__(
@@ -944,37 +1008,32 @@ class SealedSegment:
         source: str,
         base_digest: str,
         base_count: int,
-        canonicals: List[str],
-        digests: bytes,
+        image: SpillImage,
         index: SegmentIndex,
-        contexts: Dict[str, str],
         memo: Dict[int, AuditRecord],
     ):
         self.source = source
         self.base_digest = base_digest
         self.base_count = base_count
-        self.count = len(canonicals)
-        self.head = digests[-_RAW_BYTES:].hex()
+        self.count = image.count
+        self.head = image.header["head"]
         self.index = index
-        self._canonicals: Optional[List[str]] = canonicals
-        #: The packed chain digests: the tail's, moved over at seal;
-        #: once cold, the file's, read by the first :meth:`digest_at`.
-        self._digests: Optional[bytes] = digests
-        self._memo = memo
-        #: The context-table entries the records name: the spill
-        #: header's table at demote.
-        self._contexts: Optional[Dict[str, str]] = contexts
+        #: sha256 of the image's header bytes, committed at seal, so
+        #: tampering with the header (index, context table) is
+        #: detectable in either tier.
+        self.header_digest = image.header_digest
         self.path: Optional[Path] = None
-        #: sha256 of the spill file's header bytes, held in memory so
-        #: tampering with the on-disk header/index is detectable.
-        self.header_digest: Optional[str] = None
+        #: The image while hot; None once cold.
+        self._image: Optional[SpillImage] = image
+        #: The packed chain digests, read from the image by the first
+        #: :meth:`digest_at`.
+        self._digests: Optional[bytes] = None
+        self._memo = memo
         #: The verified watermark: set after a successful deep check of
         #: a cold segment, keyed on the immutable anchors plus the spill
         #: file's stat fingerprint.  ``None`` means "never verified (or
         #: invalidated) — re-verify in every mode".
         self._verified_key: Optional[Tuple] = None
-        #: Cached (data_start, stride, context table) of the spill file.
-        self._layout: Optional[Tuple[int, int, Dict]] = None
 
     def __repr__(self) -> str:
         tier = "cold" if self.is_cold else "hot"
@@ -985,7 +1044,7 @@ class SealedSegment:
 
     @property
     def is_cold(self) -> bool:
-        return self._canonicals is None
+        return self._image is None
 
     @property
     def total(self) -> int:
@@ -993,12 +1052,45 @@ class SealedSegment:
 
     # -- content -----------------------------------------------------------
 
+    def _open(self) -> Tuple[SpillImage, Dict[int, AuditRecord]]:
+        """The segment's image, held to the header digest and anchors
+        committed at seal, and the memo reads decode through.
+
+        The one place that knows the tier: hot, the image held in
+        memory and the segment's memo; cold, the spill file read whole
+        and a fresh memo, so cold reads decode afresh and keep nothing.
+        """
+        image, memo = self._image, self._memo
+        if image is None:
+            try:
+                buf = self.path.read_bytes()
+            except OSError as exc:
+                raise IntegrityViolation(
+                    f"spill file {self.path} unreadable for segment "
+                    f"{self.source!r}: {exc}"
+                ) from exc
+            image, memo = SpillImage(buf, self.path), {}
+        if image.header_digest != self.header_digest:
+            raise IntegrityViolation(
+                f"{image.where}: header (metadata/index) does not match "
+                f"the digest committed at seal for segment {self.source!r}"
+            )
+        header = image.header
+        if (
+            header["count"] != self.count
+            or header["base_digest"] != self.base_digest
+            or header["base_count"] != self.base_count
+            or header["head"] != self.head
+        ):
+            raise IntegrityViolation(
+                f"{image.where}: header does not match the anchors "
+                f"committed for segment {self.source!r}"
+            )
+        return image, memo
+
     def entries(self) -> List[Tuple[str, str]]:
-        """(canonical, digest) pairs, verbatim: from the lists when hot,
-        from the spill file when cold."""
-        if self._canonicals is not None:
-            return list(zip(self._canonicals, _hexes(self._digests)))
-        return read_spill(self.path)[1]
+        """(canonical, digest) pairs, verbatim from the image."""
+        return self._open()[0].entries()
 
     def records(self) -> List[AuditRecord]:
         """The segment's records, decoded from their stored strings."""
@@ -1016,102 +1108,33 @@ class SealedSegment:
 
     def records_at(self, offsets: Iterable[int]) -> List[AuditRecord]:
         """The records at ``offsets`` (segment-relative, e.g. from
-        :meth:`candidates`).
-
-        Hot: decoded through the memo.  Cold: only the named
-        fixed-stride slots are read, through ``mmap`` — no whole-file
-        decode — and decoded afresh.  A slot with a bad length or bad
-        bytes raises :class:`IntegrityViolation`, as a whole-file read
-        does.
-        """
-        if self._canonicals is not None:
-            return _decoded(self._canonicals, self._memo, offsets)
-        strings = [c for c, __ in self._slots(offsets)]
-        _admit(self._spill_layout()[2], strings)
-        return [AuditRecord.from_canonical(c) for c in strings]
-
-    def _slots(self, offsets: Iterable[int]) -> List[Tuple[str, str]]:
-        """(canonical, digest) of the named slots of the cold file, read
-        through ``mmap``."""
-        try:
-            data_start, stride, __ = self._spill_layout()
-            room = stride - _LEN.size - _DIGEST_BYTES
-            with open(self.path, "rb") as fh, mmap.mmap(
-                fh.fileno(), 0, access=mmap.ACCESS_READ
-            ) as mm:
-                slots = []
-                for i in offsets:
-                    at = data_start + i * stride
-                    (length,) = _LEN.unpack(mm[at:at + _LEN.size])
-                    if length > room:
-                        raise IntegrityViolation(
-                            f"{self.path}: corrupt spill segment (slot "
-                            f"{i} length {length} exceeds the stride)"
-                        )
-                    at += _LEN.size
-                    body = at + _DIGEST_BYTES
-                    slots.append((
-                        mm[body:body + length].decode(),
-                        mm[at:body].decode(),
-                    ))
-                return slots
-        except (OSError, UnicodeDecodeError, ValueError, KeyError,
-                TypeError, AttributeError, struct.error) as exc:
-            raise IntegrityViolation(
-                f"{self.path}: corrupt spill segment ({exc})"
-            ) from exc
+        :meth:`candidates`): only the named fixed-stride slots are
+        decoded, through the memo.  A slot with a bad length or bad
+        bytes raises :class:`IntegrityViolation`."""
+        image, memo = self._open()
+        return _decoded(image.canonical, memo, offsets)
 
     def age_prefix(self, timestamp: float) -> int:
         """Length of the leading run of records older than ``timestamp``,
         decoding only that run and the record that ends it."""
-        k = 0
-        for canonical, __ in self.entries():
-            if not AuditRecord.from_canonical(canonical).timestamp < timestamp:
-                break
-            k += 1
-        return k
+        image = self._open()[0]
+        for k in range(self.count):
+            record = AuditRecord.from_canonical(image.canonical(k))
+            if not record.timestamp < timestamp:
+                return k
+        return self.count
 
     def digest_at(self, position: int) -> Optional[str]:
-        """Chain digest at absolute ``position``.
-
-        Hot: a lookup in the packed column.  Cold: the first probe
-        reads the file's digest column through ``mmap`` and packs it,
-        and later probes answer from memory.
-        """
+        """Chain digest at absolute ``position``: the first probe packs
+        the image's digest column, and later probes, cold ones included,
+        answer from memory."""
         if position < self.base_count or position > self.total:
             return None
         if position == self.base_count:
             return self.base_digest
         if self._digests is None:
-            self._digests = _pack(
-                [d for __, d in self._slots(range(self.count))]
-            )
+            self._digests = self._open()[0].digests()
         return _hex_at(self._digests, position - self.base_count - 1)
-
-    def _spill_layout(self) -> Tuple[int, int, Dict]:
-        """(data_start, stride, context table) of the cold file, cached.
-
-        Probes trust the on-disk stride the way hot probes trust the
-        in-memory digest list — :meth:`verify` is what holds the file
-        to the committed header digest; a doctored layout yields
-        digests that fail their downstream comparison.  The table is
-        what :meth:`records_at` admits entries from.
-        """
-        if self._layout is None:
-            raw = read_spill_header_bytes(self.path)
-            header = _header(raw, self.path)
-            try:
-                layout = (
-                    _align16(len(SPILL_MAGIC) + _LEN.size + len(raw)),
-                    header["stride"],
-                    header.get("contexts"),
-                )
-            except (KeyError, TypeError, AttributeError) as exc:
-                raise IntegrityViolation(
-                    f"{self.path}: corrupt spill segment ({exc})"
-                ) from exc
-            self._layout = layout
-        return self._layout
 
     # -- the verified watermark --------------------------------------------
 
@@ -1119,12 +1142,14 @@ class SealedSegment:
         """The watermark key: immutable anchors + file fingerprint.
 
         ``None`` when the segment cannot be watermarked right now — it
-        is hot (live record objects are mutable, so incremental mode
-        must always re-verify them), its file is unreadable, or the file
-        was modified too close to *now* for coarse filesystem timestamps
-        to distinguish a later rewrite (see ``_STAT_MARGIN_NS``).
+        is hot (reads hand out records from its memo, and a record a
+        read returned can be mutated, so incremental mode must hold the
+        memo to its strings on every pass), its file is unreadable, or
+        the file was modified too close to *now* for coarse filesystem
+        timestamps to distinguish a later rewrite (see
+        ``_STAT_MARGIN_NS``).
         """
-        if self._canonicals is not None or self.path is None:
+        if self._image is not None or self.path is None:
             return None
         try:
             st = os.stat(self.path)
@@ -1165,97 +1190,56 @@ class SealedSegment:
     # -- tier transitions --------------------------------------------------
 
     def demote(self, spill_dir: Path) -> int:
-        """Spill the strings and digests to disk and drop them; returns
-        the file size.  Idempotent for an already-cold segment."""
-        if self.is_cold:
+        """Write the image to disk and drop it; returns the file size.
+        Idempotent for an already-cold segment."""
+        image = self._image
+        if image is None:
             return 0
         safe = _UNSAFE.sub("_", self.source)
-        path = spill_dir / f"{safe}-{self.base_count:012d}.seg"
-        size, self.header_digest = write_spill(
-            path, self.source, self.base_digest, self.base_count,
-            self.head, self.entries(), self.index, self._contexts,
-        )
-        self.path = path
-        self._canonicals = None
-        self._digests = None
+        self.path = spill_dir / f"{safe}-{self.base_count:012d}.seg"
+        _write_atomic(self.path, image.buf)
+        self._image = None
         self._memo = {}
-        self._contexts = None
-        # Fresh on-disk identity: no probe caches, no watermark — the
-        # file has never been deep-checked in its cold form.
-        self._layout = None
+        # Fresh on-disk identity: no watermark — the file has never been
+        # deep-checked in its cold form.
         self._verified_key = None
-        return size
+        return len(image.buf)
 
     # -- integrity ---------------------------------------------------------
 
     def verify(self) -> int:
-        """Recompute the chunk's chain, raising on the first mismatch.
-
-        The strings are replayed from the base digest held in memory to
-        the head held in memory, so a rewritten file cannot satisfy both
-        ends; hot, every record a read handed out is held to its string.
-        Cold, the file is read once, and its header (context table
-        included) must match the digest committed at demote.  Returns
-        the number of digest-material bytes re-hashed.
-        """
-        if self._canonicals is not None:
-            canonicals, digests = self._canonicals, self._digests
-            what, lead = "sealed segment", 0
-        else:
-            what, lead, entries = "cold segment", *self._read_committed()
-            canonicals = [c for c, __ in entries]
-            digests = _pack([d for __, d in entries])
-        return lead + _verify_strings(
-            f"{what} {self.source!r}", self.base_digest, self.base_count,
-            canonicals, digests, self._memo, self.head,
+        """Replay the image's slots from the base digest held in memory
+        to the head held in memory, raising on the first mismatch, so a
+        rewritten image cannot satisfy both ends.  The image is held to
+        the header digest committed at seal (the context table
+        included), and every record a read handed out to its string.
+        Returns the number of digest-material bytes covered: the slots
+        re-hashed plus the header held to its digest."""
+        image, memo = self._open()
+        return image.header_len + _check_replay(
+            f"sealed segment {self.source!r}", self.base_count,
+            image.replay(self.base_digest, memo), self.head,
         )
-
-    def _read_committed(self) -> Tuple[int, List[Tuple[str, str]]]:
-        """The cold file's header length and entries, read whole and
-        held to the committed header digest and anchors."""
-        try:
-            raw_header, header, entries = read_spill_full(self.path)
-        except OSError as exc:
-            raise IntegrityViolation(
-                f"spill file {self.path} unreadable for segment "
-                f"{self.source!r}: {exc}"
-            )
-        if hashlib.sha256(raw_header).hexdigest() != self.header_digest:
-            raise IntegrityViolation(
-                f"spill file {self.path} header (metadata/index) does "
-                f"not match the digest committed at demote time for "
-                f"segment {self.source!r}"
-            )
-        if (
-            header["count"] != self.count
-            or header["base_digest"] != self.base_digest
-            or header["base_count"] != self.base_count
-            or header["head"] != self.head
-        ):
-            raise IntegrityViolation(
-                f"spill file {self.path} header does not match the "
-                f"anchors committed for segment {self.source!r}"
-            )
-        return len(raw_header), entries
 
     # -- maintenance -------------------------------------------------------
 
     def prune_prefix(self, keep_from: int) -> int:
         """Drop the first ``keep_from`` records, rebasing the chain.
 
-        The retained strings and digests are kept verbatim, and the
-        index is rebuilt over the remainder; a cold segment's file is
-        rewritten in place.
+        The retained strings and digests are kept verbatim in a new
+        image, and the index is rebuilt over the remainder; a hot
+        segment holds the new image, a cold one rewrites its file in
+        place.
         """
         if keep_from <= 0:
             return 0
         if keep_from >= self.count:
             raise ValueError("use drop() to discard a whole segment")
-        entries = self.entries()
-        # Any rebase invalidates the verified watermark and the cold
-        # probe caches: anchors move, and a cold file is rewritten.
+        image, memo = self._open()
+        entries = image.entries()
+        # Any rebase invalidates the verified watermark: anchors move,
+        # and a cold file is rewritten.
         self._verified_key = None
-        self._layout = None
         retained = entries[keep_from:]
         self.base_digest = entries[keep_from - 1][1]
         self.base_count += keep_from
@@ -1263,17 +1247,17 @@ class SealedSegment:
         self.index, contexts = _Columns.over(
             AuditRecord.from_canonical(c) for c, __ in retained
         ).index()
-        if self._canonicals is not None:
-            self._canonicals = self._canonicals[keep_from:]
-            self._digests = self._digests[keep_from * _RAW_BYTES:]
-            __, self._memo = _split_memo(self._memo, keep_from)
-            self._contexts = contexts
-            return keep_from
+        __, self._memo = _split_memo(memo, keep_from)
         self._digests = None
-        __, self.header_digest = write_spill(
-            self.path, self.source, self.base_digest, self.base_count,
-            self.head, retained, self.index, contexts,
+        image = build_spill(
+            self.source, self.base_digest, self.base_count, self.head,
+            retained, self.index, contexts,
         )
+        self.header_digest = image.header_digest
+        if self._image is None:
+            _write_atomic(self.path, image.buf)
+        else:
+            self._image = image
         return keep_from
 
     def drop(self) -> int:

@@ -37,7 +37,7 @@ class VerifyStats:
         cold_verified: cold (spilled) segments replayed from disk.
         records_verified: records whose chain step was recomputed.
         bytes_hashed: digest-material bytes re-hashed (canonical record
-            bytes + chain digests; cold adds the committed header).
+            bytes + chain digests; a sealed image adds its header).
         watermark_hits: valid watermarks honoured (== segments_skipped
             for store-level verification).
         watermark_invalidations: watermarks found stale this pass (anchor

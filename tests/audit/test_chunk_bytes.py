@@ -1,15 +1,16 @@
 """A chunk is the bytes it hashed.
 
-Open tails and hot sealed segments keep the canonical strings they
-chained, not record objects; every read decodes those strings through a
-per-chunk memo, and verify replays the strings and holds every record a
-read handed out to the string it came from.  The property drives random
-tiered and untiered histories (chain, seal, demote, prune, checkpoint,
-query) and checks each read against a decode of the stored strings and
-against a flat ``record_matches`` scan; the memo must never change an
-answer.  The tamper cases check that both kinds of edit fail verify in
-both modes: a stored string edited in place, and a record a read
-returned mutated afterwards.
+Open tails keep the canonical strings they chained, not record objects,
+and a sealed segment keeps them laid out as its spill image, hot or
+cold; every read decodes those strings through a per-chunk memo, and
+verify replays them and holds every record a read handed out to the
+string it came from.  The property drives random tiered and untiered
+histories (chain, seal, demote, prune, checkpoint, query) and checks
+each read against a decode of the stored strings and against a flat
+``record_matches`` scan; the memo must never change an answer.  The
+tamper cases check that every kind of edit fails verify in both modes:
+a stored string edited in place (a hot image spliced, its header
+included), and a record a read returned mutated afterwards.
 """
 
 import shutil
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.audit import AuditRecord, AuditSpine, RecordKind, record_matches
+from repro.audit.storage import SpillImage
 from repro.ifc import SecurityContext
 from repro.sim import Simulator
 
@@ -167,12 +169,31 @@ def _spine(tmp_path):
     return spine
 
 
-def _hot_strings(spine, where):
+def _edit_stored_string(spine, where):
+    """Edit the last stored string of ``where``: in place in a list, or
+    spliced into the hot sealed segment's image (a slot, or the
+    header's index)."""
     if where == "tail":
-        return spine._store.tails["bus"].canonicals
-    if where == "hot-sealed":
-        return spine._store.sealed["bus"][1]._canonicals
-    return spine._ckpt.canonicals
+        strings = spine._store.tails["bus"].canonicals
+    elif where == "checkpoints":
+        strings = spine._ckpt.canonicals
+    else:
+        chunk = spine._store.sealed["bus"][1]
+        image = chunk._image
+        buf = image.buf
+        if where == "hot-sealed-header":
+            # The header, ahead of every slot, lists the index's actors.
+            buf = buf.replace(b'"alice"', b'"alicX"', 1)
+        else:
+            at = image.data_start + (image.count - 1) * image.stride
+            slot = buf[at:at + image.stride].replace(
+                b'"subject":"x"', b'"subject":"y"', 1
+            )
+            buf = buf[:at] + slot + buf[at + image.stride:]
+        assert buf != image.buf
+        chunk._image = SpillImage(buf, "a spliced image")
+        return
+    strings[-1] = strings[-1].replace('"seq":', '"seq": ', 1)
 
 
 def _read(spine, where):
@@ -187,12 +208,11 @@ WHERE = ["tail", "hot-sealed", "checkpoints"]
 
 
 @pytest.mark.parametrize("mode", ["incremental", "deep"])
-@pytest.mark.parametrize("where", WHERE)
+@pytest.mark.parametrize("where", WHERE + ["hot-sealed-header"])
 def test_an_edited_stored_string_fails_verify(tmp_path, where, mode):
     spine = _spine(tmp_path)
     assert spine.verify(mode=mode)
-    strings = _hot_strings(spine, where)
-    strings[-1] = strings[-1].replace('"seq":', '"seq": ', 1)
+    _edit_stored_string(spine, where)
     assert not spine.verify(mode=mode)
 
 

@@ -1,15 +1,17 @@
 """Fuzzing the format-2 decoders: spill images and canonical records.
 
-Both take bytes from disk or from another party.  Whatever the bytes,
-a decode ends in exactly one of two ways: the original records, or
-:class:`~repro.errors.IntegrityViolation`.  It never raises anything
-else, and it never yields a record with a different context — a
-reference resolves only through a table entry that hashes to it.
+Both take bytes from disk, from memory or from another party.  Whatever
+the bytes, a decode ends in exactly one of two ways: the original
+records, or :class:`~repro.errors.IntegrityViolation`.  It never
+raises anything else, and it never yields a record with a different
+context — a reference resolves only through a table entry that hashes
+to it.
 """
 
 import hashlib
 import json
 import tempfile
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from repro.audit import (
     load_spill,
 )
 from repro.audit.records import _CONTEXTS
+from repro.audit.storage import SpillImage
 from repro.errors import IntegrityViolation
 from repro.ifc import SecurityContext
 from repro.sim import Simulator
@@ -31,24 +34,27 @@ OTHER = SecurityContext.of(["medical", "bob", "location"], ["consent"])
 CONTEXTS = [CTX, OTHER, None]
 
 
-def _cold_segment(tmp: str):
-    """A spine whose first four records sit in one cold RAUDSEG2 file,
-    naming two contexts and none."""
+def _segment(tmp: str, tier: str = "cold"):
+    """A spine whose first four records sit in one sealed RAUDSEG2
+    image, naming two contexts and none: held in memory (``hot``) or
+    in a spill file (``cold``)."""
     sim = Simulator()
     spine = AuditSpine(clock=sim.now, name="audit@fuzz")
-    spine.configure_spill(tmp, hot_segments=0, seal_every=4)
+    spine.configure_spill(
+        tmp, hot_segments=int(tier == "hot"), seal_every=4
+    )
     for i in range(4):
         spine.emit("bus", RecordKind.FLOW_ALLOWED, f"a{i}", "b", {"i": i},
                    CONTEXTS[i % 3], CONTEXTS[(i + 1) % 3])
         sim.clock.advance(1.0)
     spine.drain()
     chunk = spine._store.sealed["bus"][0]
-    assert chunk.is_cold
+    assert chunk.is_cold == (tier == "cold")
     return chunk
 
 
 with tempfile.TemporaryDirectory() as _tmp:
-    _chunk = _cold_segment(_tmp)
+    _chunk = _segment(_tmp)
     RECORDS = _chunk.records()
     IMAGE = _chunk.path.read_bytes()
 
@@ -84,24 +90,33 @@ def _outcome(decode):
         return None
 
 
-@settings(max_examples=300, deadline=None,
+@settings(max_examples=600, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(doctored_images())
-def test_a_doctored_spill_image_decodes_exactly_or_not_at_all(image):
+@given(st.sampled_from(["hot", "cold"]), doctored_images())
+def test_a_doctored_spill_image_decodes_exactly_or_not_at_all(tier, image):
     with tempfile.TemporaryDirectory() as tmp:
-        # A store that wrote the file and holds its anchors ...
-        chunk = _cold_segment(tmp)
-        assert chunk.path.read_bytes() == IMAGE
-        chunk.path.write_bytes(image)
+        # A store that sealed the image and holds its anchors, the
+        # doctored bytes installed where it keeps the image ...
+        chunk = _segment(tmp, tier)
+        if tier == "cold":
+            assert chunk.path.read_bytes() == IMAGE
+            chunk.path.write_bytes(image)
+        else:
+            assert chunk._image.buf == IMAGE
 
         def verify_then_read():
+            if tier == "hot":
+                # Parsing the bytes may already refuse them.
+                chunk._image = SpillImage(image, "a doctored image")
             chunk.verify()
             return chunk.records()
 
         got = _outcome(verify_then_read)
         assert got is None or got == RECORDS
         # ... and a party holding only the file.
-        alone = _outcome(lambda: load_spill(chunk.path))
+        path = Path(tmp) / "alone.seg"
+        path.write_bytes(image)
+        alone = _outcome(lambda: load_spill(path))
         assert alone is None or alone == RECORDS
 
 

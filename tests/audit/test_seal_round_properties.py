@@ -1,15 +1,17 @@
 """The seal-round codec, pinned against the retired reference.
 
-A seal builds a segment's :class:`SegmentIndex` and a demote writes its
-spill file.  Both must stay exactly what the multi-pass index builder
-and the slot-by-slot ``bytearray`` writer in
-``tests/reference/spill_codec.py`` produce: the spill bytes are what
-deep verification re-hashes and what every later reader parses, and the
-index header is inside the header digest committed at demote time.
+A seal builds a segment's :class:`SegmentIndex` and its spill image,
+and a demote writes that image to a file.  Both must stay exactly what
+the multi-pass index builder and the slot-by-slot ``bytearray`` writer
+in ``tests/reference/spill_codec.py`` produce: the image bytes are what
+deep verification re-hashes and what every later reader parses, hot or
+cold, and the index header is inside the header digest committed at
+seal.
 """
 
 import hashlib
 import tempfile
+from itertools import cycle
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from repro.audit import RecordKind
 from repro.audit.records import _CONTEXTS, AuditRecord, named_contexts
 from repro.audit.storage import (
+    AuditSegment,
     SegmentIndex,
     read_spill,
     read_spill_header,
@@ -132,6 +135,32 @@ def test_write_spill_bytes_equal_the_reference(
     header_len = int.from_bytes(want[8:12], "little")
     assert header_digest == hashlib.sha256(want[12:12 + header_len]).hexdigest()
     assert read_back == entries
+
+    # A seal of real records, one per drawn text, lays out the very
+    # bytes the reference writes for them, and demote writes that image.
+    records = [
+        AuditRecord(i, float(i), RecordKind.CUSTOM, "a", "", {"text": text},
+                    ctx, None)
+        for i, ((text, __), ctx) in enumerate(
+            zip(entries, cycle(contexts or [None]))
+        )
+    ]
+    tail = AuditSegment(source, base_digest)
+    tail.base_count = base_count
+    for record in records:
+        tail.chain(record)
+    chained = tail.entries()
+    chunk = tail.seal(len(records))
+    sealed = spill_image(
+        source, base_digest, base_count, chained[-1][1], chained,
+        index_over(records),
+        context_entries(r.source_context for r in records
+                        if r.source_context is not None),
+    )
+    assert chunk._image.buf == sealed
+    with tempfile.TemporaryDirectory() as tmp:
+        chunk.demote(Path(tmp))
+        assert chunk.path.read_bytes() == sealed
 
 
 #: Neither timestamps nor seqs need be monotonic; ints next to floats

@@ -26,6 +26,7 @@ from repro.audit.storage import (
     SealedSegment,
     SegmentIndex,
     SegmentStore,
+    SpillImage,
     read_spill,
     read_spill_header,
     write_spill,
@@ -308,8 +309,8 @@ class TestColdVerification:
         if doctor == "bad-bytes":
             blob = blob[:at] + b'"\xa2\xa2\xa2j"' + blob[at + 6:]
         elif doctor == "bad-length":
-            data_start, stride, __ = chunk._spill_layout()
-            slot = data_start + (chunk.count - 1) * stride
+            image = SpillImage(blob, chunk.path)
+            slot = image.data_start + (chunk.count - 1) * image.stride
             blob = blob[:slot] + b"\xff\xff\x00\x00" + blob[slot + 4:]
         else:
             blob = blob[:at]
