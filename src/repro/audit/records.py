@@ -16,7 +16,10 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
 from math import isfinite
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set
+from types import SimpleNamespace
+from typing import (
+    Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple,
+)
 
 from repro.errors import IntegrityViolation, TagError
 from repro.ifc.labels import Label, SecurityContext
@@ -95,13 +98,6 @@ def _make_encoder():
 _encode = _make_encoder()
 
 
-@lru_cache(maxsize=4096)
-def _str_json(text: str) -> str:
-    # Actors, subjects and kind values repeat across records (entity
-    # names, a fixed enum) — cache their JSON-escaped forms.
-    return json.dumps(text)
-
-
 #: The context table: reference (sha256 hex of a context's JSON) → that
 #: JSON.  Canonical records name their contexts by reference, and every
 #: entry authenticates itself (its key is its own digest), so one table
@@ -130,6 +126,60 @@ def _context_ref(secrecy: int, integrity: int) -> str:
     ref = hashlib.sha256(text.encode()).hexdigest()
     _CONTEXTS[ref] = text
     return '"%s"' % ref
+
+
+#: Stands in for a missing context in a shape key: its masks are None.
+_NO_CONTEXT = SimpleNamespace(
+    secrecy=SimpleNamespace(_mask=None), integrity=SimpleNamespace(_mask=None)
+)
+
+#: A record's *frame*: the three fixed pieces of its canonical string
+#: around the detail, the seq and the timestamp —
+#: ``{"actor":…,"detail":``, ``,"kind":…,"seq":`` and
+#: ``,"source_context":…,"subject":…,"target_context":…,"timestamp":``.
+Frame = Tuple[str, str, str]
+
+#: Shape key → frame.  A shape is what a frame is built from: kind,
+#: actor, subject and both contexts' masks.  Keyed by plain values, so
+#: equal contexts built apart share a frame; sound for the reason
+#: :func:`_context_ref` is (the interner only appends, so a mask names
+#: one tag set for the life of the process).  Emptied whenever it
+#: reaches :data:`_FRAME_LIMIT`; a frame is only a cache of its shape's
+#: text, so that changes no byte.
+_FRAMES: Dict[Tuple, Frame] = {}
+_FRAME_LIMIT = 4096
+
+
+def frame_of(record: "AuditRecord") -> Frame:
+    """The record's frame, built on its shape's first use."""
+    # A context is never falsy: ``or`` picks the stand-in for None.
+    src = record.source_context or _NO_CONTEXT
+    tgt = record.target_context or _NO_CONTEXT
+    key = (
+        record.kind._value_, record.actor, record.subject,
+        src.secrecy._mask, src.integrity._mask,
+        tgt.secrecy._mask, tgt.integrity._mask,
+    )
+    frame = _FRAMES.get(key)
+    if frame is None:
+        if len(_FRAMES) >= _FRAME_LIMIT:
+            _FRAMES.clear()
+        frame = _FRAMES[key] = _build_frame(key)
+    return frame
+
+
+def _build_frame(key: Tuple) -> Frame:
+    kind, actor, subject, src_s, src_i, tgt_s, tgt_i = key
+    return (
+        '{"actor":%s,"detail":' % json.dumps(actor),
+        ',"kind":%s,"seq":' % json.dumps(kind),
+        ',"source_context":%s,"subject":%s,"target_context":%s,'
+        '"timestamp":' % (
+            "null" if src_s is None else _context_ref(src_s, src_i),
+            json.dumps(subject),
+            "null" if tgt_s is None else _context_ref(tgt_s, tgt_i),
+        ),
+    )
 
 
 #: Outside table entries refused so far: hash-valid, but named by no
@@ -323,39 +373,36 @@ class AuditRecord:
         g(self, source_context)
         h(self, target_context)
 
-    def canonical(self) -> str:
+    def canonical(self, frame: Optional[Frame] = None) -> str:
         """Deterministic JSON serialisation used for hash chaining.
 
-        Each context is written as its reference, the quoted sha256 hex
-        of the context's own JSON (:func:`_context_ref`, memoised by
-        mask), so the chain covers the reference and the context table
-        holds the JSON once.  Assembled from per-field fragments, with a
-        finite float timestamp written by ``float.__repr__`` as ``json``
-        itself does — byte-identical to ``json.dumps(body,
-        sort_keys=True, separators=(",", ":"))`` over the same eight
-        keys, as ``test_canonical_properties`` pins.
+        Byte-identical to ``json.dumps(body, sort_keys=True,
+        separators=(",", ":"))`` over the same eight keys, as
+        ``test_canonical_properties`` pins, with each context written as
+        its reference, the quoted sha256 hex of the context's own JSON
+        (:func:`_context_ref`), so the chain covers the reference and
+        the context table holds the JSON once.
+
+        Six of the eight fields repeat from record to record, so they
+        come from the record's *frame* (:func:`frame_of`, built once per
+        shape); ``frame`` passes one the caller already fetched.  Only
+        the detail, the seq and the timestamp (a finite float by
+        ``float.__repr__``, as ``json`` writes it) are rendered here,
+        and one ``"".join`` allocates the string at its exact size.
         """
+        head, middle, tail = frame or frame_of(self)
         detail = self.detail
-        src = self.source_context
-        tgt = self.target_context
         ts = self.timestamp
-        return (
-            '{"actor":%s,"detail":%s,"kind":%s,"seq":%d,"source_context":%s,'
-            '"subject":%s,"target_context":%s,"timestamp":%s}'
-            % (
-                _str_json(self.actor),
-                _encode(detail) if detail else "{}",
-                _str_json(self.kind.value),
-                self.seq,
-                "null" if src is None
-                else _context_ref(src.secrecy.mask, src.integrity.mask),
-                _str_json(self.subject),
-                "null" if tgt is None
-                else _context_ref(tgt.secrecy.mask, tgt.integrity.mask),
-                repr(ts) if ts.__class__ is float and isfinite(ts)
-                else json.dumps(ts),
-            )
-        )
+        return "".join((
+            head,
+            _encode(detail) if detail else "{}",
+            middle,
+            "%d" % self.seq,
+            tail,
+            repr(ts) if ts.__class__ is float and isfinite(ts)
+            else json.dumps(ts),
+            "}",
+        ))
 
     @property
     def is_denial(self) -> bool:

@@ -70,7 +70,6 @@ from array import array
 from bisect import bisect_left
 from operator import itemgetter
 from pathlib import Path
-from types import SimpleNamespace
 from typing import (
     AbstractSet, Callable, Dict, Iterable, List, Optional, Sequence,
     Set, Tuple,
@@ -79,8 +78,10 @@ from typing import (
 from repro.audit.records import (
     _CONTEXTS,
     AuditRecord,
+    Frame,
     _context_ref,
     _context_tags,
+    frame_of,
     named_contexts,
     record_matches,
     register_contexts,
@@ -189,20 +190,14 @@ def _segment_genesis(spine_name: str, source: str) -> str:
     ).hexdigest()
 
 
-#: Stands in for a missing context in a shape key: its masks are None.
-_NO_CONTEXT = SimpleNamespace(
-    secrecy=SimpleNamespace(_mask=None), integrity=SimpleNamespace(_mask=None)
-)
-
-
 class _Columns:
     """A chunk's index material, gathered as its records chain:
     per-actor and per-subject posting lists (ascending offsets in
     ``array("I")``), and columns of timestamps, seqs and *shapes* (a
-    record's kind and contexts, numbered as first chained, keyed by
-    masks).  :meth:`index` builds a :class:`SegmentIndex` and context
-    table from them and :meth:`split` cuts them at a seal or prune, so
-    neither decodes a record."""
+    record's frame, :func:`~repro.audit.records.frame_of`, numbered as
+    first chained).  :meth:`index` builds a :class:`SegmentIndex` and
+    context table from them and :meth:`split` cuts them at a seal or
+    prune, so neither decodes a record."""
 
     __slots__ = ("by_actor", "by_subject", "times", "seqs", "shapes",
                  "_shape_ids", "_shape_list")
@@ -223,10 +218,10 @@ class _Columns:
     def over(cls, records: Iterable[AuditRecord]) -> "_Columns":
         columns = cls()
         for record in records:
-            columns.add(record)
+            columns.add(record, frame_of(record))
         return columns
 
-    def add(self, record: AuditRecord) -> None:
+    def add(self, record: AuditRecord, frame: Frame) -> None:
         shapes = self.shapes
         offset = len(shapes)
         posting = self.by_actor.get(record.actor)
@@ -249,20 +244,14 @@ class _Columns:
         except (OverflowError, TypeError):
             self.seqs = list(self.seqs)
             self.seqs.append(record.seq)
-        # A context is never falsy: ``or`` picks the stand-in for None.
-        src = record.source_context or _NO_CONTEXT
-        tgt = record.target_context or _NO_CONTEXT
-        key = (
-            record.kind._value_, src.secrecy._mask, src.integrity._mask,
-            tgt.secrecy._mask, tgt.integrity._mask,
-        )
         # A new shape is rare: a plain subscript, first use in the handler.
         try:
-            shapes.append(self._shape_ids[key])
+            shapes.append(self._shape_ids[frame])
         except KeyError:
-            shape = self._shape_ids[key] = len(self._shape_list)
+            shape = self._shape_ids[frame] = len(self._shape_list)
             self._shape_list.append(
-                (key[0], record.source_context, record.target_context)
+                (record.kind._value_, record.source_context,
+                 record.target_context)
             )
             shapes.append(shape)
 
@@ -429,11 +418,12 @@ class AuditSegment:
 
     def chain(self, record: AuditRecord) -> None:
         """Fold one record into this segment's chain."""
-        canonical = record.canonical()
+        frame = frame_of(record)
+        canonical = record.canonical(frame)
         raw = chain_digest(self.head, canonical)
         self.head = raw.hex()
         self.digests += raw
-        self.columns.add(record)
+        self.columns.add(record, frame)
         self.canonicals.append(canonical)
 
     def digest_at(self, position: int) -> Optional[str]:
@@ -844,17 +834,30 @@ class SpillImage:
         digest its slot stores and every record in ``memo`` to its
         slot's bytes, in one pass (see :data:`Replay`).  A link hashes
         the slot's bytes as stored, ``sha256(previous hex +
-        canonical)``, so no slot is decoded to replay it."""
+        canonical)``, so no slot is decoded to replay it.  Each slot is
+        parsed here as :meth:`slot` parses it, without a call per
+        record."""
         digest = base.encode()
         hashed = 0
         altered = None
         sha256 = hashlib.sha256
+        unpack = _LEN.unpack_from
+        buf, stride = self.buf, self.stride
+        room = stride - _SLOT_LEAD
+        at = self.data_start
         for i in range(self.count):
-            canonical, stored = self.slot(i)
+            (length,) = unpack(buf, at)
+            if length > room:
+                raise _corrupt(
+                    self.where, f"slot {i} length {length} exceeds the stride"
+                )
+            body = at + _SLOT_LEAD
+            canonical = buf[body:body + length]
             digest = sha256(digest + canonical).hexdigest().encode()
-            hashed += len(canonical) + _DIGEST_BYTES
-            if digest != stored:
+            hashed += length + _DIGEST_BYTES
+            if digest != buf[at + _LEN.size:body]:
                 return hashed, i, digest.decode(), None
+            at += stride
             record = memo.get(i)
             if record is not None and altered is None and (
                 record.canonical().encode() != canonical

@@ -318,6 +318,10 @@ class TestColdVerification:
         last = chunk.count - 1
         with pytest.raises(IntegrityViolation):
             chunk.records_at([last])
+        # The verify replay parses slots on its own path: it fails
+        # closed on the same doctoring.
+        with pytest.raises(IntegrityViolation):
+            chunk.verify()
         with pytest.raises(IntegrityViolation):
             spine.query(actor=f"actor{last % 4}")  # fill's actor cycle
 
